@@ -181,7 +181,7 @@ def _validate_grid(model: ModelHandle, grid) -> np.ndarray:
         raise InvalidInputError(
             f"grid has {grid.shape[1]} coordinates, model expects {model.d_x}"
         )
-    if not all(model.bounds.contains(x) for x in grid):
+    if not model.bounds.contains(grid):
         raise InvalidInputError("grid contains points outside the design bounds")
     return grid
 

@@ -43,7 +43,9 @@ class Box:
         return self.lower.shape[0]
 
     def contains(self, x, atol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
+        """Whether the point ``x``, or every row of a stack of points, lies in
+        the box widened by ``atol``."""
+        x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
 
     def to_unit(self, x) -> np.ndarray:

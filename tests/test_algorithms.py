@@ -265,6 +265,17 @@ class TestAlgoConfig:
             run_vdm(QuadraticModel(), np.array([[2.0]]),
                     AlgoConfig(criterion=Criterion.LOGD))
 
+    def test_grid_bounds_check_uses_box_tolerance(self):
+        # Points within 1e-9 of a bound pass; a single point beyond fails.
+        cfg = AlgoConfig(criterion=Criterion.LOGD, rng_seed=0)
+        inside = np.linspace(-1.0, 1.0, 9)[:, None]
+        inside[[0, -1], 0] += [-5e-10, 5e-10]
+        run_ybt(QuadraticModel(), inside, cfg)
+        outside = np.vstack([np.linspace(-1.0, 1.0, 50)[:, None],
+                             [[1.0 + 2e-9]]])
+        with pytest.raises(InvalidInputError, match="outside the design bounds"):
+            run_ybt(QuadraticModel(), outside, cfg)
+
 
 def test_adagpr_iteration_cap_reports_last_solved_candidates():
     # Below 50 iterations the progress rule never fires; the cap path must

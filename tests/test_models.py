@@ -52,6 +52,12 @@ class TestBox:
         assert box.contains([0.5])
         assert not box.contains([1.5])
 
+    def test_contains_stack_of_points(self):
+        box = Box([0.0, 0.0], [1.0, 2.0])
+        assert box.contains([[0.0, 0.0], [1.0 + 5e-10, 2.0], [0.5, 1.0]])
+        assert not box.contains([[0.5, 1.0], [0.5, 2.0 + 2e-9]])
+        assert not box.contains([[0.5, np.nan]])
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidInputError):
             Box([1.0], [0.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oed.bench import yeast_grid
 from oed.exceptions import InvalidInputError, NonFiniteModelError
 from oed.models import fd_jacobian
 from oed.yeast import (
@@ -135,17 +136,58 @@ class TestYeastSimulate:
 
 
 class TestYeastModel:
-    def test_batch_jacobian_matches_generic_fd(self):
-        batch = YeastModel().jacobian_batch([X_REF])
-        scalar = fd_jacobian(YeastModel(), X_REF)
-        assert np.allclose(batch[0], scalar, rtol=1e-9, atol=1e-12)
+    def test_exact_jacobian_matches_generic_fd(self):
+        rng = np.random.default_rng(11)
+        grid = yeast_grid()
+        lower, upper = YeastModel().bounds.lower, YeastModel().bounds.upper
+        xs = np.vstack([grid[rng.choice(grid.shape[0], 4, replace=False)],
+                        rng.uniform(lower, upper, size=(3, 11))])
+        for form in ("as-printed", "classical"):
+            exact = YeastModel(substrate_form=form).jacobian_batch(xs)
+            fd = np.stack([fd_jacobian(YeastModel(substrate_form=form), x)
+                           for x in xs])
+            # each (point, theta) row against that row's largest entry
+            row_error = np.abs(exact - fd).max(axis=-1) / np.abs(fd).max(axis=-1)
+            assert row_error.max() < 1e-6, form
+
+    def test_batch_rows_match_single_point_jacobians(self):
+        rng = np.random.default_rng(2)
+        model = YeastModel()
+        xs = rng.uniform(model.bounds.lower, model.bounds.upper, size=(5, 11))
+        batch = model.jacobian_batch(xs)
+        for x, J in zip(xs, batch):
+            np.testing.assert_allclose(model.jacobian(x), J, rtol=1e-13, atol=0)
+
+    def test_zero_dilution_oracle(self):
+        # With u1 = 0 (as printed) the substrate stays at y2_0, so
+        # y1 = y1_0 exp((r - theta4) t) with the Monod rate r frozen, and the
+        # sensitivities are t y1 dr/dtheta1, t y1 dr/dtheta2, 0 and -t y1.
+        theta = np.array([0.6, 0.3, 0.4, 0.2])
+        y2_0 = 0.1
+        x = np.array([4.0] + [0.0] * 5 + [20.0] * 5)
+        model = YeastModel(theta_nominal=theta, y2_0=y2_0)
+        J = model.jacobian(x)
+        t = np.arange(2.0, 21.0, 2.0)
+        den = theta[1] + y2_0
+        r = theta[0] * y2_0 / den
+        y1 = x[0] * np.exp((r - theta[3]) * t)
+        expected_y1 = np.stack([t * y1 * y2_0 / den, -t * y1 * r / den,
+                                np.zeros_like(t), -t * y1])
+        np.testing.assert_allclose(J[:, :10], expected_y1, rtol=1e-8, atol=0)
+        assert np.all(J[:, 10:] == 0.0)
+
+    def test_jacobian_non_finite_state_detected(self):
+        # theta2 < 0 puts the Monod denominator through zero.
+        model = YeastModel(theta_nominal=(0.5, -0.1, 0.5, 0.5))
+        with pytest.raises(NonFiniteModelError):
+            model.jacobian(X_REF)
 
     def test_jacobian_shape_and_counters(self):
         model = YeastModel()
         J = model.jacobian(X_REF)
         assert J.shape == (4, 20)
         assert model.n_jacobian_evals == 1
-        assert model.n_evals == 8
+        assert model.n_evals == 0
 
     def test_bounds(self):
         model = YeastModel()
