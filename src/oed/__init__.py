@@ -7,7 +7,6 @@ and a Bayesian-optimization-style acquisition.
 """
 
 from .algorithms import (
-    AdaGprSettings,
     AlgoConfig,
     AlgoReport,
     TimingBreakdown,
@@ -19,7 +18,7 @@ from .algorithms import (
     run_ybt,
 )
 from .acquisition import AcquisitionSpec, SobolStream, acquisition_value, \
-    minimize_acquisition, sobol_next
+    minimize_acquisition
 from .config import ProblemConfig, grid_from_levels, load_problem
 from .designs import (
     Criterion,

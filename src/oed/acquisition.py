@@ -58,11 +58,6 @@ class SobolStream:
         return points
 
 
-def sobol_next(stream: SobolStream, count: int) -> np.ndarray:
-    """Functional alias for :meth:`SobolStream.next`."""
-    return stream.next(count)
-
-
 @dataclass(frozen=True)
 class AcquisitionSpec:
     """Surrogate plus the exploration toggle; the domain is [0, 1]^d."""

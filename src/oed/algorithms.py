@@ -1,17 +1,20 @@
 """The three design algorithms: VDM, YBT exchange and the adaptive ADA-GPR.
 
-All three certify optimality through the directional derivative phi: the grid
-methods terminate once ``min phi > -epsilon`` over the whole grid, the
-adaptive algorithm by an objective-progress heuristic (its phi condition is
-certified on the candidate set only, since the continuous-space minimum is
-approximated by a GP surrogate).
+All three run one exchange loop (:func:`_exchange`) and differ in two hooks:
+how a candidate is proposed (the grid argmin of phi, or the minimizer of a GP
+acquisition) and how the weights are updated (VDM's ``1/(n+1)`` vertex step,
+or a full re-solve). All three certify optimality through the directional
+derivative phi: the grid methods terminate once ``min phi > -epsilon`` over
+the whole grid, the adaptive algorithm by an objective-progress heuristic
+(its phi condition is certified on the candidate set only, since the
+continuous-space minimum is approximated by a GP surrogate).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -31,6 +34,7 @@ from .designs import (
     is_invertible,
 )
 from .exceptions import (
+    ConvergenceError,
     InitializationError,
     InvalidInputError,
     NonFiniteModelError,
@@ -46,17 +50,13 @@ CLUSTER_RADIUS = 0.01
 PROGRESS_MIN_ITERATIONS = 50
 PROGRESS_WINDOW = 50
 PROGRESS_DELTA = 0.001
-
-
-@dataclass
-class AdaGprSettings:
-    """ADA-GPR specific knobs: acquisition multistarts and the noise-refresh
-    schedule (every iteration for the first 10, every 10th afterwards)."""
-
-    n_starts: int = 10
-    alpha_refresh_initial: int = 10
-    alpha_refresh_every: int = 10
-    max_point_rejections: int = 50
+# ADA-GPR: acquisition multistarts, the noise-refresh schedule (every
+# iteration for the first 10, every 10th afterwards) and how often a
+# non-finite acquisition point is replaced by the next Sobol point.
+N_STARTS = 10
+ALPHA_REFRESH_INITIAL = 10
+ALPHA_REFRESH_EVERY = 10
+MAX_POINT_REJECTIONS = 50
 
 
 @dataclass
@@ -75,7 +75,6 @@ class AlgoConfig:
     n_initial: int | None = None
     rng_seed: int = 0
     sigma_eps: SigmaEps | None = None
-    adagpr: AdaGprSettings = field(default_factory=AdaGprSettings)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -98,9 +97,7 @@ class TimingBreakdown:
     total: float = 0.0
 
     def as_dict(self) -> dict:
-        return {"jacobian": self.jacobian, "weights": self.weights,
-                "acquisition": self.acquisition,
-                "hyperparameters": self.hyperparameters, "total": self.total}
+        return asdict(self)
 
 
 @dataclass
@@ -175,7 +172,22 @@ def cluster_design(design: Design, radius: float = CLUSTER_RADIUS,
     return Design(centers, weights / weights.sum())
 
 
-def _validate_grid(model: ModelHandle, grid) -> np.ndarray:
+def check_inputs(model: ModelHandle, cfg: AlgoConfig, grid=None):
+    """Model-dependent checks shared by the algorithms and problem files.
+
+    ``n_initial`` must be at least ``d_theta + 1``, ``sigma_eps`` must match
+    the model's output count when the model names its outputs, and a grid
+    needs one column per design coordinate and must lie in the design bounds
+    widened by 1e-9. Returns the grid as a float ``(n, d_x)`` array, or None.
+    """
+    n_min = model.d_theta + 1
+    if cfg.n_initial is not None and cfg.n_initial < n_min:
+        raise InvalidInputError(f"n_initial must be >= d_theta + 1 = {n_min}")
+    d_y = len(model.output_names or ())
+    if cfg.sigma_eps is not None and d_y and cfg.sigma_eps.d_y != d_y:
+        raise InvalidInputError(f"sigma_eps must be {d_y}x{d_y}, one row per model output")
+    if grid is None:
+        return None
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != model.d_x:
         raise InvalidInputError(
@@ -186,28 +198,131 @@ def _validate_grid(model: ModelHandle, grid) -> np.ndarray:
     return grid
 
 
-def _grid_mus(model, grid, sigma, timings):
-    t0 = time.perf_counter()
-    jacobians = model.jacobian_batch(grid)
-    timings.jacobian += time.perf_counter() - t0
-    return fisher_at_points(jacobians, sigma)
+class _Run:
+    """Bookkeeping of one run: timings, warnings and the Jacobian count."""
+
+    def __init__(self, model: ModelHandle):
+        self.model = model
+        self.timings = TimingBreakdown()
+        self.warnings: list = []
+        self.t_start = time.perf_counter()
+        self.jac_before = model.n_jacobian_evals
+
+    def jacobians(self, evaluate, x):
+        """``evaluate(x)``, a model Jacobian method, timed as the Jacobian bucket."""
+        t0 = time.perf_counter()
+        try:
+            return evaluate(x)
+        finally:
+            self.timings.jacobian += time.perf_counter() - t0
 
 
-def _sample_invertible(rng, n_grid, n0, mus):
-    """Random initial candidate indices whose uniform-weight M is invertible."""
-    for _ in range(MAX_INIT_RESAMPLES):
-        idx = np.sort(rng.choice(n_grid, size=n0, replace=False))
-        if is_invertible(mus[idx].mean(axis=0)):
-            return idx
-    raise InitializationError(
-        f"no invertible initial information matrix in {MAX_INIT_RESAMPLES} resamples"
+def _exchange(run: _Run, cfg: AlgoConfig, keys: list, cand: np.ndarray,
+              propose, to_points, *, vertex: bool = False,
+              prune: bool = False) -> AlgoReport:
+    """The exchange loop of all three algorithms.
+
+    ``keys`` name the candidates, ``cand`` stacks their Fisher matrices. Each
+    iteration weighs the candidates, records the objective and asks
+    ``propose(M, trace, keys, cand)`` for a new ``(key, mu)`` or a termination
+    reason. VDM (``vertex``) keeps a running average: iteration k gives the
+    proposal ``1/(n0 + k)``, merged into a re-selected point. Otherwise the
+    weights are re-solved, warm-started with the new candidate's line-searched
+    mass fraction; a capped solve continues from its best iterate, with a
+    warning. The report covers the candidates of the last weighing, at
+    ``to_points(keys)``; ``prune`` drops weights below 0.001 from ``design``.
+    """
+    n0 = len(keys)
+    w = np.full(n0, 1.0 / n0)
+    M = cand.mean(axis=0)
+    position = {key: i for i, key in enumerate(keys)} if vertex else None
+    warm = None
+    trace = []
+    termination = "max_iterations"
+    for k in range(1, cfg.max_iterations + 1):
+        if vertex:
+            trace.append(criterion_value(M, cfg.criterion))
+        else:
+            t0 = time.perf_counter()
+            try:
+                sol = optimize_weights(cand, cfg.criterion, tol=cfg.weight_tol,
+                                       warm_start=warm)
+            except ConvergenceError as exc:
+                sol = exc.best
+                run.warnings.append(f"iteration {k}: {exc}; continued from "
+                                    "its best iterate")
+            run.timings.weights += time.perf_counter() - t0
+            w = sol.weights
+            M = information_matrix(w, cand)
+            trace.append(sol.objective)
+        proposal = propose(M, trace, keys, cand)
+        if isinstance(proposal, str):
+            termination = proposal
+            break
+        key, mu = proposal
+        if vertex:
+            alpha = 1.0 / (n0 + k)  # as if every selected point were a new candidate
+            w *= 1.0 - alpha
+            M = (1.0 - alpha) * M + alpha * mu
+            if key in position:
+                w[position[key]] += alpha
+                continue
+            position[key] = len(keys)
+            w = np.append(w, alpha)
+        else:
+            delta, _ = _line_search(M, mu, 0.5, cfg.criterion)
+            warm = np.append(w * (1.0 - delta), max(delta, 1e-12))
+        keys.append(key)
+        cand = np.concatenate([cand, mu[None]])
+
+    if vertex:
+        w = w / w.sum()
+    n = w.shape[0]
+    M = information_matrix(w, cand[:n])
+    full = Design(to_points(keys[:n]), w)
+    run.timings.total = time.perf_counter() - run.t_start
+    return AlgoReport(
+        design=full.pruned(PRUNE_WEIGHT) if prune else full,
+        clustered_design=cluster_design(full, box=run.model.bounds),
+        objective=criterion_value(M, cfg.criterion),
+        objective_trace=np.asarray(trace),
+        iterations=len(trace),
+        jacobian_evals=run.model.n_jacobian_evals - run.jac_before,
+        timings=run.timings,
+        termination=termination,
+        criterion=cfg.criterion,
+        information_matrix=M,
+        warnings=run.warnings,
     )
 
 
-def _blend_fraction(M, mu_new, criterion) -> float:
-    """Line-searched mass fraction for warm-starting with one new candidate."""
-    delta, _ = _line_search(M, mu_new, 0.5, criterion)
-    return delta
+def _grid_exchange(model: ModelHandle, grid, cfg: AlgoConfig,
+                   vertex: bool) -> AlgoReport:
+    """VDM or YBT: every grid Jacobian once up front, an invertible random
+    start, and the phi-minimizing grid point as each iteration's proposal."""
+    grid = check_inputs(model, cfg, grid)
+    run = _Run(model)
+    mus = fisher_at_points(run.jacobians(model.jacobian_batch, grid),
+                           cfg.sigma_eps)
+    n0 = cfg.n_initial if cfg.n_initial is not None else model.d_theta + 1
+    rng = np.random.default_rng(cfg.rng_seed)
+    for _ in range(MAX_INIT_RESAMPLES):
+        idx0 = np.sort(rng.choice(grid.shape[0], size=n0, replace=False))
+        if is_invertible(mus[idx0].mean(axis=0)):
+            break
+    else:
+        raise InitializationError(f"no invertible initial information matrix "
+                                  f"in {MAX_INIT_RESAMPLES} resamples")
+
+    def propose(M, trace, keys, cand):
+        phi = directional_derivatives(M, mus, cfg.criterion)
+        j = int(np.argmin(phi))
+        if phi[j] > -cfg.epsilon:
+            return "epsilon"
+        return j, mus[j]
+
+    return _exchange(run, cfg, idx0.tolist(), mus[idx0], propose,
+                     lambda keys: grid[keys], vertex=vertex, prune=not vertex)
 
 
 def run_vdm(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
@@ -217,62 +332,7 @@ def run_vdm(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
     rescales the rest; a re-selected support point merges its weight instead
     of duplicating. Every grid Jacobian is evaluated exactly once up front.
     """
-    grid = _validate_grid(model, grid)
-    timings = TimingBreakdown()
-    t_start = time.perf_counter()
-    jac_before = model.n_jacobian_evals
-    mus = _grid_mus(model, grid, cfg.sigma_eps, timings)
-
-    d_theta = model.d_theta
-    n0 = cfg.n_initial if cfg.n_initial is not None else d_theta + 1
-    if n0 < d_theta + 1:
-        raise InvalidInputError(f"n_initial must be >= d_theta + 1 = {d_theta + 1}")
-    rng = np.random.default_rng(cfg.rng_seed)
-    idx0 = _sample_invertible(rng, grid.shape[0], n0, mus)
-
-    support = list(idx0)
-    position = {int(g): k for k, g in enumerate(support)}
-    w = np.full(n0, 1.0 / n0)
-    M = mus[idx0].mean(axis=0)
-
-    trace = []
-    termination = "max_iterations"
-    iterations = 0
-    for k in range(1, cfg.max_iterations + 1):
-        iterations = k
-        trace.append(criterion_value(M, cfg.criterion))
-        phi = directional_derivatives(M, mus, cfg.criterion)
-        j = int(np.argmin(phi))
-        if phi[j] > -cfg.epsilon:
-            termination = "epsilon"
-            break
-        alpha = 1.0 / (n0 + k)  # as if every selected point were a new candidate
-        w *= 1.0 - alpha
-        if j in position:
-            w[position[j]] += alpha
-        else:
-            position[j] = len(support)
-            support.append(j)
-            w = np.append(w, alpha)
-        M = (1.0 - alpha) * M + alpha * mus[j]
-
-    w = w / w.sum()
-    M = information_matrix(w, mus[support])
-    design = Design(grid[support], w)
-    timings.total = time.perf_counter() - t_start
-    return AlgoReport(
-        design=design,
-        clustered_design=cluster_design(design, box=model.bounds),
-        objective=criterion_value(M, cfg.criterion),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        jacobian_evals=model.n_jacobian_evals - jac_before,
-        timings=timings,
-        termination=termination,
-        criterion=cfg.criterion,
-        information_matrix=M,
-        warnings=[],
-    )
+    return _grid_exchange(model, grid, cfg, vertex=True)
 
 
 def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
@@ -281,60 +341,10 @@ def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
     Each iteration solves the optimal-weight problem on the candidate set,
     then appends the phi-minimizing grid point; terminates once
     ``min phi > -epsilon`` holds over the full grid, which certifies the
-    design by the equivalence theorem (up to epsilon).
+    design by the equivalence theorem (up to epsilon). The reported design
+    drops weights below 0.001, as the published tables do.
     """
-    grid = _validate_grid(model, grid)
-    timings = TimingBreakdown()
-    t_start = time.perf_counter()
-    jac_before = model.n_jacobian_evals
-    mus = _grid_mus(model, grid, cfg.sigma_eps, timings)
-
-    d_theta = model.d_theta
-    n0 = cfg.n_initial if cfg.n_initial is not None else d_theta + 1
-    if n0 < d_theta + 1:
-        raise InvalidInputError(f"n_initial must be >= d_theta + 1 = {d_theta + 1}")
-    rng = np.random.default_rng(cfg.rng_seed)
-    candidates = list(_sample_invertible(rng, grid.shape[0], n0, mus))
-
-    trace = []
-    warm = None
-    termination = "max_iterations"
-    iterations = 0
-    sol = None
-    for k in range(1, cfg.max_iterations + 1):
-        iterations = k
-        t0 = time.perf_counter()
-        sol = optimize_weights(mus[candidates], cfg.criterion,
-                               tol=cfg.weight_tol, warm_start=warm)
-        timings.weights += time.perf_counter() - t0
-        trace.append(sol.objective)
-        M = information_matrix(sol.weights, mus[candidates])
-        phi = directional_derivatives(M, mus, cfg.criterion)
-        j = int(np.argmin(phi))
-        if phi[j] > -cfg.epsilon:
-            termination = "epsilon"
-            break
-        delta = _blend_fraction(M, mus[j], cfg.criterion)
-        warm = np.append(sol.weights * (1.0 - delta), max(delta, 1e-12))
-        candidates.append(j)
-
-    M = information_matrix(sol.weights, mus[candidates[: len(sol.weights)]])
-    full_design = Design(grid[candidates[: len(sol.weights)]], sol.weights)
-    design = full_design.pruned(PRUNE_WEIGHT)
-    timings.total = time.perf_counter() - t_start
-    return AlgoReport(
-        design=design,
-        clustered_design=cluster_design(full_design, box=model.bounds),
-        objective=criterion_value(M, cfg.criterion),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        jacobian_evals=model.n_jacobian_evals - jac_before,
-        timings=timings,
-        termination=termination,
-        criterion=cfg.criterion,
-        information_matrix=M,
-        warnings=[],
-    )
+    return _grid_exchange(model, grid, cfg, vertex=False)
 
 
 def _fit_surrogate(U, phi_vals, params, warnings_log):
@@ -368,124 +378,64 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
     -> acquisition minimization with the current tau -> exact evaluation at
     the new point -> tau toggle. Stops on objective progress stagnation.
     """
+    check_inputs(model, cfg)
     box = model.bounds
-    d_x, d_theta = model.d_x, model.d_theta
-    timings = TimingBreakdown()
-    t_start = time.perf_counter()
-    jac_before = model.n_jacobian_evals
-    warnings_log: list = []
-
-    n0 = cfg.n_initial if cfg.n_initial is not None else max(10 * d_x, d_theta + 2)
-    if n0 < d_theta + 1:
-        raise InvalidInputError(f"n_initial must be >= d_theta + 1 = {d_theta + 1}")
-    stream = SobolStream(d_x)
+    run = _Run(model)
+    n0 = (cfg.n_initial if cfg.n_initial is not None
+          else max(10 * model.d_x, model.d_theta + 2))
+    stream = SobolStream(model.d_x)
     U = stream.next(n0)
-
-    t0 = time.perf_counter()
-    jacobians = model.jacobian_batch(box.from_unit(U))
-    timings.jacobian += time.perf_counter() - t0
-    mus = fisher_at_points(jacobians, cfg.sigma_eps)
-
-    extra = 0
-    while not is_invertible(mus.mean(axis=0)):
-        if extra >= MAX_INIT_RESAMPLES:
-            raise InitializationError(
-                "initial information matrix stayed singular while extending "
-                "the Sobol candidate set"
-            )
+    mus = fisher_at_points(run.jacobians(model.jacobian_batch, box.from_unit(U)),
+                           cfg.sigma_eps)
+    for extra in range(MAX_INIT_RESAMPLES + 1):
+        if is_invertible(mus.mean(axis=0)):
+            break
+        if extra == MAX_INIT_RESAMPLES:
+            raise InitializationError("initial information matrix stayed singular "
+                                      "while extending the Sobol candidate set")
         u_new = stream.next(1)
-        t0 = time.perf_counter()
-        jac_new = model.jacobian_batch(box.from_unit(u_new))
-        timings.jacobian += time.perf_counter() - t0
+        jac_new = run.jacobians(model.jacobian_batch, box.from_unit(u_new))
         U = np.vstack([U, u_new])
         mus = np.concatenate([mus, fisher_at_points(jac_new, cfg.sigma_eps)])
-        extra += 1
 
-    tau = 1.0
-    warm = None
-    alpha = None
-    last_iso: KernelParams | None = None
-    params: KernelParams | None = None
-    trace = []
-    termination = "max_iterations"
-    iterations = 0
-    sol = None
-    n_solved = U.shape[0]
+    tau, alpha, iso, params = 1.0, None, None, None
 
-    for n_iter in range(1, cfg.max_iterations + 1):
-        iterations = n_iter
-        t0 = time.perf_counter()
-        sol = optimize_weights(mus, cfg.criterion, tol=cfg.weight_tol,
-                               warm_start=warm)
-        timings.weights += time.perf_counter() - t0
-        n_solved = mus.shape[0]
-        trace.append(sol.objective)
+    def propose(M, trace, keys, cand):
+        nonlocal tau, alpha, iso, params
+        n_iter = len(trace)
         if progress_stop(trace, n_iter):
-            termination = "progress"
-            break
-
-        M = information_matrix(sol.weights, mus)
-        phi_vals = directional_derivatives(M, mus, cfg.criterion)
+            return "progress"
+        U = np.array(keys)
+        phi_vals = directional_derivatives(M, cand, cfg.criterion)
 
         t0 = time.perf_counter()
-        settings = cfg.adagpr
-        if (n_iter <= settings.alpha_refresh_initial
-                or n_iter % settings.alpha_refresh_every == 0 or alpha is None):
-            alpha = select_alpha_cv(U, phi_vals, kernel=last_iso)
-        last_iso = select_hypers(U, phi_vals, alpha, start=last_iso)
+        if n_iter <= ALPHA_REFRESH_INITIAL or n_iter % ALPHA_REFRESH_EVERY == 0:
+            alpha = select_alpha_cv(U, phi_vals, kernel=iso)
+        iso = select_hypers(U, phi_vals, alpha, start=iso)
         params = select_hypers(U, phi_vals, alpha, start=params,
-                               per_dimension=True, isotropic=last_iso)
-        gp = _fit_surrogate(U, phi_vals, params, warnings_log)
-        timings.hyperparameters += time.perf_counter() - t0
+                               per_dimension=True, isotropic=iso)
+        gp = _fit_surrogate(U, phi_vals, params, run.warnings)
+        run.timings.hyperparameters += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        u_new = minimize_acquisition(AcquisitionSpec(gp, tau), stream,
-                                     settings.n_starts)
-        timings.acquisition += time.perf_counter() - t0
+        u_new = minimize_acquisition(AcquisitionSpec(gp, tau), stream, N_STARTS)
+        run.timings.acquisition += time.perf_counter() - t0
 
-        jac_new = None
-        for _ in range(settings.max_point_rejections):
+        for _ in range(MAX_POINT_REJECTIONS):
             try:
-                t0 = time.perf_counter()
-                jac_new = model.jacobian(box.from_unit(u_new))
-                timings.jacobian += time.perf_counter() - t0
+                jac_new = run.jacobians(model.jacobian, box.from_unit(u_new))
                 break
             except NonFiniteModelError as exc:
-                timings.jacobian += time.perf_counter() - t0
-                warnings_log.append(f"rejected non-finite point: {exc}")
+                run.warnings.append(f"rejected non-finite point: {exc}")
                 u_new = stream.next(1)[0]
-        if jac_new is None:
+        else:
             raise NonFiniteModelError(
                 "model stayed non-finite after replacing the acquisition "
-                f"point {settings.max_point_rejections} times"
+                f"point {MAX_POINT_REJECTIONS} times"
             )
         mu_new = fisher_at_point(jac_new, cfg.sigma_eps)
-        phi_new = directional_derivative(M, mu_new, cfg.criterion)
+        tau = next_tau(tau, directional_derivative(M, mu_new, cfg.criterion))
+        return u_new, mu_new
 
-        U = np.vstack([U, u_new])
-        mus = np.concatenate([mus, mu_new[None]])
-
-        tau = next_tau(tau, phi_new)
-
-        delta = _blend_fraction(M, mu_new, cfg.criterion)
-        warm = np.append(sol.weights * (1.0 - delta), max(delta, 1e-12))
-
-    # Report the design over the candidates of the last weight solve; a
-    # candidate appended after it was never reweighted or certified.
-    U_report = U[:n_solved]
-    M = information_matrix(sol.weights, mus[:n_solved])
-    design = Design(box.from_unit(U_report), sol.weights)
-    timings.total = time.perf_counter() - t_start
-    return AlgoReport(
-        design=design,
-        clustered_design=cluster_design(design, box=box),
-        objective=criterion_value(M, cfg.criterion),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        jacobian_evals=model.n_jacobian_evals - jac_before,
-        timings=timings,
-        termination=termination,
-        criterion=cfg.criterion,
-        information_matrix=M,
-        warnings=warnings_log,
-    )
+    return _exchange(run, cfg, list(U), mus, propose,
+                     lambda keys: box.from_unit(np.array(keys)))

@@ -10,14 +10,15 @@ covariance matrix and defaults to the identity.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import AdaGprSettings, AlgoConfig
+from .algorithms import AlgoConfig, check_inputs
 from .designs import Criterion, SigmaEps
-from .exceptions import ConfigError
+from .exceptions import ConfigError, InvalidInputError
 from .flash import methanol_acetone_flash, methanol_water_flash
 from .models import ModelHandle, QuadraticModel
 from .yeast import YeastModel
@@ -50,6 +51,15 @@ def grid_from_levels(levels) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+@contextmanager
+def _as_config_error():
+    """Report the algorithm-side input checks as configuration errors."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class ProblemConfig:
     """Validated problem definition with defaults filled in."""
@@ -77,44 +87,31 @@ class ProblemConfig:
             )
         if not isinstance(self.criterion, Criterion):
             self.criterion = Criterion.parse(self.criterion)
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
         if self.algorithm == "adagpr" and self.grid is not None:
             raise ConfigError("adagpr works on the continuous space; remove 'grid'")
         if self.algorithm in ("vdm", "ybt") and self.grid is None:
             raise ConfigError(f"algorithm {self.algorithm!r} requires a 'grid'")
         if self.sigma_eps is not None:
             self.sigma_eps = np.atleast_2d(np.asarray(self.sigma_eps, float))
+        self.algo_config()  # epsilon, max_iterations and sigma_eps
 
     def build_model(self) -> ModelHandle:
         model = MODEL_BUILDERS[self.model](self.model_options)
-        if self.grid is not None:
-            if self.grid.ndim != 2 or self.grid.shape[1] != model.d_x:
-                raise ConfigError(
-                    f"grid must be (n, {model.d_x}) for model {self.model!r}"
-                )
-            lo, hi = model.bounds.lower, model.bounds.upper
-            if np.any(self.grid < lo - 1e-12) or np.any(self.grid > hi + 1e-12):
-                raise ConfigError("grid contains points outside the design bounds")
-        n_min = model.d_theta + 1
-        if self.n_initial is not None and self.n_initial < n_min:
-            raise ConfigError(f"n_initial must be >= d_theta + 1 = {n_min}")
+        with _as_config_error():
+            check_inputs(model, self.algo_config(), self.grid)
         return model
 
     def algo_config(self) -> AlgoConfig:
-        sigma = (SigmaEps.from_covariance(self.sigma_eps)
-                 if self.sigma_eps is not None else None)
-        return AlgoConfig(
-            criterion=self.criterion,
-            epsilon=self.epsilon,
-            max_iterations=self.max_iterations,
-            n_initial=self.n_initial,
-            rng_seed=self.seed,
-            sigma_eps=sigma,
-            adagpr=AdaGprSettings(),
-        )
+        with _as_config_error():
+            return AlgoConfig(
+                criterion=self.criterion,
+                epsilon=self.epsilon,
+                max_iterations=self.max_iterations,
+                n_initial=self.n_initial,
+                rng_seed=self.seed,
+                sigma_eps=(SigmaEps.from_covariance(self.sigma_eps)
+                           if self.sigma_eps is not None else None),
+            )
 
     def normalized(self) -> dict:
         """Canonical JSON-ready dict; loading it back reproduces this config."""

@@ -174,6 +174,11 @@ def fisher_at_points(jacobians, sigma: SigmaEps | None = None) -> np.ndarray:
     if sigma is None:
         mus = np.einsum("nij,nkj->nik", J, J)
     else:
+        if sigma.d_y != J.shape[2]:
+            raise InvalidInputError(
+                f"sigma is {sigma.d_y}x{sigma.d_y} but the jacobians have "
+                f"{J.shape[2]} output columns"
+            )
         mus = np.einsum("nij,jl,nkl->nik", J, sigma.precision, J)
     return 0.5 * (mus + np.transpose(mus, (0, 2, 1)))
 
@@ -275,15 +280,8 @@ def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
     raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
-def directional_derivative(M, mu_x, criterion: Criterion,
-                           d_theta: int | None = None) -> float:
+def directional_derivative(M, mu_x, criterion: Criterion) -> float:
     """Scalar :func:`directional_derivatives` for a single candidate."""
-    M = np.asarray(M, dtype=float)
-    if d_theta is not None and d_theta != M.shape[0]:
-        raise InvalidInputError(
-            f"d_theta={d_theta} does not match information matrix of size "
-            f"{M.shape[0]}"
-        )
     return float(directional_derivatives(M, mu_x, criterion)[0])
 
 

@@ -107,6 +107,12 @@ def _bubble_residual(T, x_m, P_pa, nrtl, substances):
             + (1.0 - x_m) * gamma_w * vapor_pressure(sub_w, T) - P_pa)
 
 
+def _vapor_fraction(T, x_m, P_pa, nrtl, substances):
+    """Methanol vapor fraction at the bubble point T."""
+    gamma_m, _ = nrtl_gammas(x_m, T, nrtl)
+    return x_m * gamma_m * vapor_pressure(substances[0], T) / P_pa
+
+
 def flash_solve(x_m: float, P_bar: float, nrtl: NrtlParams,
                 substances=(METHANOL, WATER)) -> tuple[float, float]:
     """Bubble-point solve: returns (y_m_vap, T_celsius) for feed x_m at P [bar]."""
@@ -132,52 +138,25 @@ def flash_solve(x_m: float, P_bar: float, nrtl: NrtlParams,
         h = 1e-7 * T
         slope = (_bubble_residual(T + h, x_m, P_pa, nrtl, substances) - res) / h
         T -= res / slope
-    gamma_m, _ = nrtl_gammas(x_m, T, nrtl)
-    sub_m, _sub_w = substances
-    y_m_vap = x_m * gamma_m * vapor_pressure(sub_m, T) / P_pa
+    y_m_vap = _vapor_fraction(T, x_m, P_pa, nrtl, substances)
     return float(y_m_vap), float(T - 273.15)
 
 
-def _bubble_point_batch(x_m, P_pa, a12, a21, b12, b21, substances):
-    """Vectorized bisection bubble-point solve over broadcastable arrays."""
-    x_m, P_pa, a12, a21, b12, b21 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x_m, P_pa, a12, a21, b12, b21))
-    )
-    sub_m, sub_w = substances
-
-    def residual(T):
-        x_w = 1.0 - x_m
-        tau12 = a12 + b12 / T
-        tau21 = a21 + b21 / T
-        G12 = np.exp(-NRTL_ALPHA * tau12)
-        G21 = np.exp(-NRTL_ALPHA * tau21)
-        den_m = x_m + x_w * G21
-        den_w = x_w + x_m * G12
-        gm = np.exp(x_w**2 * (tau21 * (G21 / den_m) ** 2 + tau12 * G12 / den_w**2))
-        gw = np.exp(x_m**2 * (tau12 * (G12 / den_w) ** 2 + tau21 * G21 / den_m**2))
-        return (x_m * gm * vapor_pressure(sub_m, T)
-                + x_w * gw * vapor_pressure(sub_w, T) - P_pa)
-
+def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
+    """Vectorized bisection bubble-point solve over equal-shape arrays; the
+    fields of ``nrtl`` may be arrays with one parameter set per point."""
     lo = np.full_like(x_m, T_BRACKET_K[0])
     hi = np.full_like(x_m, T_BRACKET_K[1])
-    if np.any(residual(lo) >= 0) or np.any(residual(hi) <= 0):
+    if (np.any(_bubble_residual(lo, x_m, P_pa, nrtl, substances) >= 0)
+            or np.any(_bubble_residual(hi, x_m, P_pa, nrtl, substances) <= 0)):
         raise NoSolutionError("no bubble point in the temperature bracket")
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        neg = residual(mid) < 0
+        neg = _bubble_residual(mid, x_m, P_pa, nrtl, substances) < 0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     T = 0.5 * (lo + hi)
-    x_w = 1.0 - x_m
-    tau12 = a12 + b12 / T
-    G12 = np.exp(-NRTL_ALPHA * tau12)
-    tau21 = a21 + b21 / T
-    G21 = np.exp(-NRTL_ALPHA * tau21)
-    den_m = x_m + x_w * G21
-    den_w = x_w + x_m * G12
-    gm = np.exp(x_w**2 * (tau21 * (G21 / den_m) ** 2 + tau12 * G12 / den_w**2))
-    y_m_vap = x_m * gm * vapor_pressure(sub_m, T) / P_pa
-    return y_m_vap, T - 273.15
+    return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15
 
 
 class FlashModel(ModelHandle):
@@ -221,8 +200,8 @@ class FlashModel(ModelHandle):
         xm = np.repeat(xs[:, 0], 2 * d)
         P_pa = np.repeat(xs[:, 1], 2 * d) * PA_PER_BAR
         th = np.tile(thetas, (n, 1))
-        y_m, T_c = _bubble_point_batch(xm, P_pa, th[:, 0], th[:, 1], th[:, 2],
-                                       th[:, 3], self.substances)
+        y_m, T_c = _bubble_point_batch(xm, P_pa, NrtlParams(*th.T),
+                                       self.substances)
         out = np.stack([y_m, T_c], axis=-1).reshape(n, 2 * d, 2)
         if not np.all(np.isfinite(out)):
             raise NonFiniteModelError("flash produced non-finite outputs in FD batch")

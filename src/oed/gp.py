@@ -7,10 +7,7 @@ Posterior mean/variance follow the zero-mean conditioning formulas with the
 white-noise term ``alpha`` added to the training diagonal only; predictions
 are noise-free latent-function estimates. Analytic gradients of the posterior
 mean and variance with respect to the query point are exposed because the
-acquisition optimizer consumes them. ``fit(..., center=True)`` subtracts the
-empirical target mean before conditioning and adds it back to posterior means
-(variances are unaffected) when a caller prefers not to spend signal variance
-on a constant offset.
+acquisition optimizer consumes them.
 """
 
 from __future__ import annotations
@@ -110,18 +107,12 @@ def kernel_matrix(X_a, X_b, params: KernelParams) -> np.ndarray:
 class GPState:
     """Fitted GP: immutable after construction, cheap posterior queries."""
 
-    def __init__(self, X, y, params, offset, chol, alpha_vec):
+    def __init__(self, X, params, chol, alpha_vec):
         self.X = X
-        self.y = y
         self.params = params
-        self._offset = offset
         self._chol = chol
         self._alpha_vec = alpha_vec
         self._l2 = params.lengthscale**2
-
-    @property
-    def n_train(self) -> int:
-        return self.X.shape[0]
 
     def posterior(self, x):
         """Posterior (mean, variance, mean_gradient, variance_gradient) at x."""
@@ -134,7 +125,7 @@ class GPState:
         else:
             sq = np.einsum("nd,nd->n", diff, diff)
             k_star = self.params.signal_variance * np.exp(-0.5 * sq / l2)
-        mean = float(k_star @ self._alpha_vec) + self._offset
+        mean = float(k_star @ self._alpha_vec)
         v = cho_solve(self._chol, k_star)
         var = max(float(self.params.signal_variance - k_star @ v), 0.0)
         grad_k = (diff * k_star[:, None]) / l2  # (n, d): d k_i / d x
@@ -145,7 +136,7 @@ class GPState:
     def predict(self, X_query):
         """Batch posterior means and variances (no gradients)."""
         K_star = kernel_matrix(X_query, self.X, self.params)
-        means = K_star @ self._alpha_vec + self._offset
+        means = K_star @ self._alpha_vec
         V = cho_solve(self._chol, K_star.T)
         variances = np.maximum(
             self.params.signal_variance - np.einsum("nm,nm->m", K_star.T, V), 0.0
@@ -153,12 +144,8 @@ class GPState:
         return means, variances
 
 
-def fit(X_t, y, params: KernelParams, *, center: bool = False) -> GPState:
-    """Fit the exact GP posterior; O(n^3) once, O(n^2)-ish queries after.
-
-    With ``center=True`` the empirical target mean is subtracted before
-    conditioning and re-added to posterior means.
-    """
+def fit(X_t, y, params: KernelParams) -> GPState:
+    """Fit the exact GP posterior; O(n^3) once, O(n^2)-ish queries after."""
     X = _as_points(X_t)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
@@ -167,8 +154,6 @@ def fit(X_t, y, params: KernelParams, *, center: bool = False) -> GPState:
         raise InvalidInputError("need at least one training point")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("targets contain non-finite entries")
-    offset = float(y.mean()) if center else 0.0
-    y_c = y - offset
     K = kernel_matrix(X, X, params)
     K[np.diag_indices_from(K)] += params.noise
     try:
@@ -178,8 +163,8 @@ def fit(X_t, y, params: KernelParams, *, center: bool = False) -> GPState:
             f"kernel matrix not positive definite (n={X.shape[0]}, "
             f"noise={params.noise:g}): {exc}"
         ) from exc
-    alpha_vec = cho_solve(chol, y_c)
-    return GPState(X, y, params, offset, chol, alpha_vec)
+    alpha_vec = cho_solve(chol, y)
+    return GPState(X, params, chol, alpha_vec)
 
 
 def log_marginal_likelihood(X_t, y, params: KernelParams) -> float:

@@ -54,9 +54,6 @@ class Box:
     def from_unit(self, u) -> np.ndarray:
         return self.lower + np.asarray(u, dtype=float) * (self.upper - self.lower)
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
 
 class ModelHandle:
     """Base forward model with eval/jacobian counters.

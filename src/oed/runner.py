@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from .algorithms import AlgoReport, run_adagpr, run_vdm, run_ybt
 from .config import ProblemConfig
+from .models import ModelHandle
 from .report import emit_report
 
 
-def run_problem(config: ProblemConfig, seed: int | None = None) -> AlgoReport:
-    """Build the model, run the configured algorithm and return its report."""
-    if seed is not None:
-        config.seed = seed
-    model = config.build_model()
+def _run(config: ProblemConfig, model: ModelHandle) -> AlgoReport:
     algo_cfg = config.algo_config()
     if config.algorithm == "vdm":
         return run_vdm(model, config.grid, algo_cfg)
@@ -20,10 +17,15 @@ def run_problem(config: ProblemConfig, seed: int | None = None) -> AlgoReport:
     return run_adagpr(model, algo_cfg)
 
 
-def run_and_emit(config: ProblemConfig, out_dir, seed: int | None = None):
+def run_problem(config: ProblemConfig) -> AlgoReport:
+    """Build the model, run the configured algorithm and return its report."""
+    return _run(config, config.build_model())
+
+
+def run_and_emit(config: ProblemConfig, out_dir):
     """Run the problem and write its report files; returns (report, paths)."""
-    report = run_problem(config, seed=seed)
     model = config.build_model()
+    report = _run(config, model)
     echo = config.normalized()
     echo.pop("grid", None)  # no need to replay thousands of grid rows
     paths = emit_report(report, out_dir, coord_names=model.coord_names,

@@ -6,7 +6,6 @@ from oed.acquisition import (
     SobolStream,
     acquisition_value,
     minimize_acquisition,
-    sobol_next,
 )
 from oed.exceptions import InvalidInputError, UnsupportedDimensionError
 from oed.gp import KernelParams, fit
@@ -39,10 +38,6 @@ class TestSobolStream:
     def test_points_inside_unit_cube(self):
         pts = SobolStream(4).next(100)
         assert pts.min() >= 0.0 and pts.max() < 1.0
-
-    def test_functional_alias(self):
-        stream = SobolStream(1)
-        assert np.allclose(sobol_next(stream, 1).ravel(), [0.5])
 
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):

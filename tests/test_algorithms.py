@@ -10,6 +10,7 @@ from oed.algorithms import (
     run_vdm,
     run_ybt,
 )
+from oed.bench import flash_grid
 from oed.designs import (
     Criterion,
     Design,
@@ -18,6 +19,7 @@ from oed.designs import (
     information_matrix,
 )
 from oed.exceptions import InitializationError, InvalidInputError
+from oed.flash import methanol_water_flash
 from oed.models import Box, QuadraticModel
 from oed.weights import optimize_weights
 
@@ -196,6 +198,29 @@ class TestRunYbt:
         vdm = run_vdm(QuadraticModel(), GRID_201, cfg)
         assert ybt.iterations <= vdm.iterations // 10
 
+    def test_capped_weight_solve_continues_from_best_iterate(self):
+        # From this start the E-criterion weight solve hits its iteration cap
+        # in iteration 3; the run keeps that solve's best weights and still
+        # certifies at the E-optimum 5 (weights 0.2/0.6/0.2 on -1, 0, 1).
+        report = run_ybt(QuadraticModel(), GRID_201,
+                         AlgoConfig(criterion=Criterion.E, rng_seed=1))
+        assert report.termination == "epsilon"
+        assert report.objective == pytest.approx(5.0, abs=2e-3)
+        assert len(report.warnings) == 1
+        assert "continued from its best iterate" in report.warnings[0]
+
+    def test_capped_weight_solve_on_flash_matches_vdm(self):
+        # Seed 5 draws an initial flash-water design whose first weight solve
+        # hits the cap; YBT must still certify and agree with VDM.
+        cfg = AlgoConfig(criterion=Criterion.LOGD, rng_seed=5)
+        ybt = run_ybt(methanol_water_flash(), flash_grid(), cfg)
+        vdm = run_vdm(methanol_water_flash(), flash_grid(), cfg)
+        assert ybt.termination == "epsilon"
+        assert any("iteration 1:" in w for w in ybt.warnings)
+        gap = (np.linalg.slogdet(ybt.information_matrix)[1]
+               - np.linalg.slogdet(vdm.information_matrix)[1]) / np.log(10.0)
+        assert abs(gap) < 1e-3
+
 
 @pytest.fixture(scope="module")
 def toy_report():
@@ -297,7 +322,6 @@ def test_adagpr_deterministic_with_per_dimension_lengthscales(monkeypatch):
     # isotropic kernel. A short flash run (2-D) exercises the per-dimension
     # fits and their restarts; two runs must agree bit for bit.
     import oed.algorithms as algorithms
-    from oed.flash import methanol_water_flash
 
     fitted = []
     original = algorithms.select_hypers

@@ -5,10 +5,16 @@ import pytest
 
 from oed.algorithms import AlgoReport, TimingBreakdown
 from oed.cli import main
-from oed.config import config_from_dict, grid_from_levels, load_problem
+from oed.config import (
+    ProblemConfig,
+    config_from_dict,
+    grid_from_levels,
+    load_problem,
+)
 from oed.designs import Criterion, Design
 from oed.exceptions import ConfigError
 from oed.report import emit_report, summary_objective
+from oed.runner import run_and_emit, run_problem
 
 
 def write_config(tmp_path, payload, name="problem.json"):
@@ -92,6 +98,42 @@ class TestLoadProblem:
         with pytest.raises(ConfigError, match="n_initial"):
             load_problem(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("algorithm", ["vdm", "ybt", "adagpr"])
+    def test_n_initial_floor_every_algorithm(self, algorithm):
+        grid = None if algorithm == "adagpr" else np.zeros((5, 1))
+        config = ProblemConfig(model="quadratic", algorithm=algorithm,
+                               n_initial=3, grid=grid)
+        with pytest.raises(ConfigError, match="n_initial"):
+            config.build_model()
+        with pytest.raises(ConfigError, match="n_initial"):
+            run_problem(config)
+
+    def test_grid_bounds_tolerance_matches_algorithms(self, tmp_path):
+        # One tolerance, 1e-9, as in run_ybt: points 5e-10 outside the
+        # bounds load and run, a point 2e-9 outside is rejected.
+        inside = [[-1.0 - 5e-10], [-0.5], [0.0], [0.5], [1.0 + 5e-10]]
+        cfg = load_problem(write_config(tmp_path, dict(
+            QUADRATIC_YBT, grid={"points": inside})))
+        assert run_problem(cfg).termination == "epsilon"
+        outside = inside + [[1.0 + 2e-9]]
+        with pytest.raises(ConfigError, match="outside the design bounds"):
+            load_problem(write_config(tmp_path, dict(
+                QUADRATIC_YBT, grid={"points": outside})))
+
+    def test_run_and_emit_builds_the_model_once(self, tmp_path, monkeypatch):
+        built = []
+        original = ProblemConfig.build_model
+
+        def counting(self):
+            built.append(self.model)
+            return original(self)
+
+        monkeypatch.setattr(ProblemConfig, "build_model", counting)
+        cfg = load_problem(write_config(tmp_path, QUADRATIC_YBT))
+        built.clear()
+        run_and_emit(cfg, tmp_path / "out")
+        assert built == ["quadratic"]
+
     def test_substrate_form_forwarded(self, tmp_path):
         payload = {"model": "yeast", "algorithm": "adagpr", "n_initial": 200,
                    "model_options": {"substrate_form": "classical"}}
@@ -166,6 +208,18 @@ class TestCli:
         path = write_config(tmp_path, {"model": "quadratic", "algorithm": "vdm"})
         assert main(["check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma_eps, message", [
+        ([[1.0, 0.0], [0.0, -1.0]], "positive definite"),
+        ([[1.0, 0.0], [0.0, 1.0]], "sigma_eps must be 1x1"),
+    ])
+    def test_bad_sigma_eps_exits_2(self, tmp_path, capsys, sigma_eps, message):
+        # Not positive definite, or 2x2 for the single-output quadratic:
+        # both check and run refuse the file.
+        path = write_config(tmp_path, dict(QUADRATIC_YBT, sigma_eps=sigma_eps))
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
 
     def test_run_writes_reports(self, tmp_path, capsys):
         path = write_config(tmp_path, QUADRATIC_YBT)

@@ -61,6 +61,14 @@ class TestFisherAtPoint:
         single = np.stack([fisher_at_point(j, sigma) for j in J])
         assert np.allclose(batch, single)
 
+    def test_sigma_size_mismatch_rejected(self):
+        # A 2x2 precision must not broadcast over single-output Jacobians.
+        J = np.ones((4, 3, 1))
+        with pytest.raises(InvalidInputError, match="output columns"):
+            fisher_at_points(J, SigmaEps.identity(2))
+        with pytest.raises(InvalidInputError, match="output columns"):
+            fisher_at_point(J[0], SigmaEps.identity(2))
+
 
 class TestInformationMatrix:
     def test_weighted_sum(self):
@@ -134,10 +142,6 @@ class TestDirectionalDerivative:
     def test_d_criterion_value(self):
         phi = directional_derivative(np.eye(2), np.diag([3.0, 0.0]), Criterion.D)
         assert phi == pytest.approx(-1.0)
-
-    def test_d_theta_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            directional_derivative(np.eye(2), np.eye(2), Criterion.D, d_theta=3)
 
     def test_log_d_uses_same_formula_as_d(self):
         rng = np.random.default_rng(5)

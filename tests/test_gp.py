@@ -260,12 +260,6 @@ class TestFitAndPosterior:
         _, var_after = extended.predict(queries)
         assert np.all(var_after <= var_before + 1e-9)
 
-    def test_centered_fit_readds_offset(self):
-        gp = fit([[0.0], [1.0]], [10.0, 12.0], KernelParams(1.0, 0.5, 1e-10),
-                 center=True)
-        mean, _, _, _ = gp.posterior([0.0])
-        assert mean == pytest.approx(10.0, abs=1e-4)
-
 
 class TestLogMarginalLikelihood:
     def test_closed_form_single_point(self):
