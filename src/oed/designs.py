@@ -255,6 +255,19 @@ def _min_eig_projector(M):
     return lam[0], mult, V[:, :mult]
 
 
+def _phi_terms(M, arr, criterion: Criterion):
+    """``(c, v)`` with ``phi = c - v``, as in :func:`directional_derivatives`."""
+    if criterion in (Criterion.D, Criterion.LOGD):
+        return M.shape[0], np.einsum("ab,iba->i", _inverse_spd(M), arr)
+    if criterion is Criterion.A:
+        Minv = _inverse_spd(M)
+        return float(np.trace(Minv)), np.einsum("ab,iba->i", Minv @ Minv, arr)
+    if criterion is Criterion.E:
+        lam_min, mult, P = _min_eig_projector(M)
+        return lam_min, np.einsum("dm,idk,km->i", P, arr, P) / mult
+    raise InvalidInputError(f"unknown criterion {criterion!r}")
+
+
 def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
     """Directional derivative ``phi(xi, x)`` for a stack of candidate mus.
 
@@ -264,20 +277,10 @@ def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
     """
     arr = _as_mu_array(mus)
     M = np.asarray(M, dtype=float)
-    d_theta = M.shape[0]
-    if criterion in (Criterion.D, Criterion.LOGD):
-        Minv = _inverse_spd(M)
-        return d_theta - np.einsum("ab,iba->i", Minv, arr)
-    if criterion is Criterion.A:
-        Minv = _inverse_spd(M)
-        return float(np.trace(Minv)) - np.einsum("ab,iba->i", Minv @ Minv, arr)
-    if criterion is Criterion.E:
-        if not is_invertible(M):
-            raise SingularInformationError("information matrix is singular")
-        lam_min, mult, P = _min_eig_projector(M)
-        proj = np.einsum("dm,idk,km->i", P, arr, P) / mult
-        return lam_min - proj
-    raise InvalidInputError(f"unknown criterion {criterion!r}")
+    if criterion is Criterion.E and not is_invertible(M):
+        raise SingularInformationError("information matrix is singular")
+    c, v = _phi_terms(M, arr, criterion)
+    return c - v
 
 
 def directional_derivative(M, mu_x, criterion: Criterion) -> float:

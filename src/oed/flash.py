@@ -9,6 +9,8 @@ for the equilibrium temperature T, with NRTL activity coefficients and
 extended-Antoine pure-component vapor pressures (output in Pa; design-space
 pressure is in bar, temperature is reported in degrees Celsius). The unknown
 model parameters are the four NRTL interaction parameters.
+One vectorized bisection on T in [250, 600] K solves every bubble point;
+the model's Jacobians are central differences of it over one batch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import InvalidInputError, NoSolutionError, NonFiniteModelError
 from .models import Box, ModelHandle
@@ -24,7 +25,6 @@ from .models import Box, ModelHandle
 NRTL_ALPHA = 0.3
 PA_PER_BAR = 1e5
 T_BRACKET_K = (250.0, 600.0)
-RESIDUAL_RTOL = 1e-10
 _BISECT_STEPS = 64
 
 
@@ -120,39 +120,31 @@ def flash_solve(x_m: float, P_bar: float, nrtl: NrtlParams,
         raise InvalidInputError(f"x_m must lie in [0, 1], got {x_m}")
     if not 0.5 <= P_bar <= 5.0:
         raise InvalidInputError(f"P must lie in [0.5, 5] bar, got {P_bar}")
-    P_pa = P_bar * PA_PER_BAR
-    lo, hi = T_BRACKET_K
-    f_lo = _bubble_residual(lo, x_m, P_pa, nrtl, substances)
-    f_hi = _bubble_residual(hi, x_m, P_pa, nrtl, substances)
-    if not (f_lo < 0 < f_hi):
-        raise NoSolutionError(
-            f"no bubble point in [{lo}, {hi}] K for x_m={x_m}, P={P_bar} bar"
-        )
-    T = brentq(_bubble_residual, lo, hi, args=(x_m, P_pa, nrtl, substances),
-               xtol=1e-12, rtol=4 * np.finfo(float).eps)
-    # Newton polish if brentq's bracket tolerance left residual above contract.
-    for _ in range(3):
-        res = _bubble_residual(T, x_m, P_pa, nrtl, substances)
-        if abs(res) / P_pa < RESIDUAL_RTOL:
-            break
-        h = 1e-7 * T
-        slope = (_bubble_residual(T + h, x_m, P_pa, nrtl, substances) - res) / h
-        T -= res / slope
-    y_m_vap = _vapor_fraction(T, x_m, P_pa, nrtl, substances)
-    return float(y_m_vap), float(T - 273.15)
+    y_m, T_c = _bubble_point_batch(np.array([x_m], dtype=float),
+                                   np.array([P_bar * PA_PER_BAR]), nrtl,
+                                   substances)
+    return float(y_m[0]), float(T_c[0])
 
 
 def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
-    """Vectorized bisection bubble-point solve over equal-shape arrays; the
-    fields of ``nrtl`` may be arrays with one parameter set per point."""
+    """(y_m_vap, T_celsius) by vectorized bisection over equal-shape arrays;
+    the fields of ``nrtl`` may hold one parameter set per point. Raises
+    ``NonFiniteModelError`` on a non-finite residual and ``NoSolutionError``
+    when the residual does not change sign across the bracket."""
+
+    def residual(T):
+        res = _bubble_residual(T, x_m, P_pa, nrtl, substances)
+        if not np.all(np.isfinite(res)):
+            raise NonFiniteModelError("non-finite bubble-point residual")
+        return res
+
     lo = np.full_like(x_m, T_BRACKET_K[0])
     hi = np.full_like(x_m, T_BRACKET_K[1])
-    if (np.any(_bubble_residual(lo, x_m, P_pa, nrtl, substances) >= 0)
-            or np.any(_bubble_residual(hi, x_m, P_pa, nrtl, substances) <= 0)):
-        raise NoSolutionError("no bubble point in the temperature bracket")
+    if np.any(residual(lo) >= 0) or np.any(residual(hi) <= 0):
+        raise NoSolutionError(f"no bubble point in {T_BRACKET_K} K")
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        neg = _bubble_residual(mid, x_m, P_pa, nrtl, substances) < 0
+        neg = residual(mid) < 0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     T = 0.5 * (lo + hi)
@@ -162,9 +154,10 @@ def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
 class FlashModel(ModelHandle):
     """Flash DoE model: inputs (x_m, P [bar]) -> outputs (y_m_vap, T [C]).
 
-    The unknown parameters are the NRTL (a12, a21, b12, b21); Jacobians are
-    central finite differences, evaluated in one vectorized bubble-point batch
-    per design point.
+    The unknown parameters are the NRTL (a12, a21, b12, b21). Evaluation is
+    one vectorized bubble-point solve over the whole batch, so the central
+    differences of :meth:`ModelHandle.jacobian_batch` cost one solve for all
+    perturbed points.
     """
 
     def __init__(self, substances=(METHANOL, WATER),
@@ -177,37 +170,10 @@ class FlashModel(ModelHandle):
                          output_names=["y_m_vap", "T_celsius"])
         self.substances = substances
 
-    def _eval_impl(self, x, theta):
-        nrtl = NrtlParams(*theta)
-        y_m, T_c = flash_solve(float(x[0]), float(x[1]), nrtl, self.substances)
-        return np.array([y_m, T_c])
-
-    def _fd_thetas(self):
-        theta = self.theta_nominal
-        h = 1e-6 * np.maximum(1.0, np.abs(theta))
-        plus = theta + np.diag(h)
-        minus = theta - np.diag(h)
-        return np.vstack([plus, minus]), h
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jacobian_batch([x])[0]
-
-    def jacobian_batch(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        n = xs.shape[0]
-        d = self.d_theta
-        thetas, h = self._fd_thetas()  # (2d, 4) stacked +/- perturbations
-        xm = np.repeat(xs[:, 0], 2 * d)
-        P_pa = np.repeat(xs[:, 1], 2 * d) * PA_PER_BAR
-        th = np.tile(thetas, (n, 1))
-        y_m, T_c = _bubble_point_batch(xm, P_pa, NrtlParams(*th.T),
-                                       self.substances)
-        out = np.stack([y_m, T_c], axis=-1).reshape(n, 2 * d, 2)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteModelError("flash produced non-finite outputs in FD batch")
-        jac = (out[:, :d, :] - out[:, d:, :]) / (2.0 * h)[None, :, None]
-        self._bump(evals=2 * d * n, jacobians=n)
-        return jac
+    def _eval_batch(self, xs, thetas):
+        y_m, T_c = _bubble_point_batch(xs[:, 0], xs[:, 1] * PA_PER_BAR,
+                                       NrtlParams(*thetas.T), self.substances)
+        return np.stack([y_m, T_c], axis=-1)
 
 
 def methanol_water_flash() -> FlashModel:

@@ -1,10 +1,10 @@
 """Forward-model abstraction, finite-difference Jacobians and the quadratic toy.
 
 A :class:`ModelHandle` evaluates ``f(x, theta)`` on a box-bounded design space
-and exposes Jacobians with respect to the parameters. Models may provide an
-analytic parameter Jacobian, which takes precedence; otherwise central finite
-differences are used. Evaluation counters back the per-run bookkeeping that
-reports compare against.
+through one vectorized hook and exposes Jacobians with respect to the
+parameters: central differences of that hook, unless the model overrides
+``jacobian_batch`` with exact derivatives. Evaluation counters back the
+per-run bookkeeping that reports compare against.
 """
 
 from __future__ import annotations
@@ -58,11 +58,12 @@ class Box:
 class ModelHandle:
     """Base forward model with eval/jacobian counters.
 
-    Subclasses implement ``_eval_impl(x, theta) -> y`` (deterministic, pure)
-    and may override ``_analytic_jacobian(x)`` to bypass finite differences.
-    Counter contract: ``eval`` adds one model evaluation; each ``jacobian``
-    call adds one Jacobian evaluation (plus ``2 d_theta`` model evaluations on
-    the finite-difference path). Increments are lock-guarded so concurrent
+    Subclasses implement ``_eval_batch(xs, thetas) -> (n, d_y)`` (rows of
+    ``xs`` paired with rows of ``thetas``; deterministic, pure) and may
+    override ``jacobian_batch`` with exact derivatives. Counter contract:
+    ``eval`` adds one model evaluation; ``n`` Jacobians add ``n`` Jacobian
+    evaluations (plus ``2 d_theta n`` model evaluations on the
+    finite-difference path). Increments are lock-guarded so concurrent
     evaluation of distinct points keeps exact counts.
     """
 
@@ -94,66 +95,56 @@ class ModelHandle:
         """Evaluate f(x, theta); theta defaults to the nominal estimate."""
         theta = self.theta_nominal if theta is None else np.asarray(theta, float)
         self._bump(evals=1)
-        y = np.asarray(self._eval_impl(np.asarray(x, float).ravel(), theta),
-                       dtype=float).ravel()
-        return y
+        return self._eval_batch(np.asarray(x, float).reshape(1, -1),
+                                theta.reshape(1, -1))[0]
 
-    def _eval_impl(self, x, theta):
+    def _eval_batch(self, xs, thetas):
         raise NotImplementedError
-
-    def _analytic_jacobian(self, x):
-        return None
 
     def jacobian(self, x) -> np.ndarray:
         """Parameter Jacobian (d_theta, d_y) at x, at the nominal estimate."""
-        analytic = self._analytic_jacobian(np.asarray(x, float).ravel())
-        if analytic is not None:
-            self._bump(jacobians=1)
-            return np.asarray(analytic, dtype=float)
-        return fd_jacobian(self, x)
+        return self.jacobian_batch(np.asarray(x, float).reshape(1, -1))[0]
 
     def jacobian_batch(self, xs) -> np.ndarray:
-        """Jacobians for a stack of points, shape (n, d_theta, d_y)."""
+        """Jacobians (n, d_theta, d_y) at a stack of points: central
+        differences from one ``_eval_batch`` call on the rows ``theta +
+        diag(h)`` then ``theta - diag(h)`` per point, ``h_j = 1e-6 max(1,
+        |theta_j|)``."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.stack([self.jacobian(x) for x in xs])
+        n, d = xs.shape[0], self.d_theta
+        theta = self.theta_nominal
+        h = FD_REL_STEP * np.maximum(1.0, np.abs(theta))
+        thetas = np.vstack([theta + np.diag(h), theta - np.diag(h)])
+        out = np.asarray(self._eval_batch(np.repeat(xs, 2 * d, axis=0),
+                                          np.tile(thetas, (n, 1))),
+                         dtype=float).reshape(n, 2 * d, -1)
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteModelError(f"model returned non-finite output in "
+                                      f"central differences at x={xs[~finite][0]}")
+        self._bump(evals=2 * d * n, jacobians=n)
+        return (out[:, :d, :] - out[:, d:, :]) / (2.0 * h)[None, :, None]
 
 
 def fd_jacobian(model: ModelHandle, x) -> np.ndarray:
-    """Central-difference parameter Jacobian of shape (d_theta, d_y).
-
-    Per-coordinate step ``h_j = 1e-6 * max(1, |theta_j|)``. Counts one
-    Jacobian evaluation and ``2 d_theta`` model evaluations.
-    """
-    theta = model.theta_nominal
-    cols = []
-    for j in range(theta.shape[0]):
-        h = FD_REL_STEP * max(1.0, abs(theta[j]))
-        up, down = theta.copy(), theta.copy()
-        up[j] += h
-        down[j] -= h
-        y_up = model.eval(x, up)
-        y_down = model.eval(x, down)
-        if not (np.all(np.isfinite(y_up)) and np.all(np.isfinite(y_down))):
-            raise NonFiniteModelError(
-                f"model returned non-finite output perturbing theta[{j}] "
-                f"by ±{h:g} at x={np.asarray(x).ravel()}"
-            )
-        cols.append((y_up - y_down) / (2.0 * h))
-    model._bump(jacobians=1)
-    return np.stack(cols)  # rows indexed by theta -> (d_theta, d_y)
+    """Central-difference Jacobian (d_theta, d_y) at x, also for a model with
+    exact derivatives: :meth:`ModelHandle.jacobian_batch` at one point."""
+    return ModelHandle.jacobian_batch(model, np.asarray(x, float).reshape(1, -1))[0]
 
 
-def quadratic_model(x, theta) -> float:
-    """Quadratic toy response ``theta2 x^2 + theta1 x + theta0``."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    x = float(np.asarray(x).ravel()[0])
-    return float(theta[2] * x * x + theta[1] * x + theta[0])
+def quadratic_model(x, theta):
+    """Quadratic toy response ``theta2 x^2 + theta1 x + theta0``; ``x`` may be
+    a vector of points and ``theta`` a matching stack of parameter rows."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return theta[..., 2] * x * x + theta[..., 1] * x + theta[..., 0]
 
 
-def quadratic_jacobian(x) -> np.ndarray:
-    """Analytic parameter Jacobian (1, x, x^2) of the quadratic toy."""
-    x = float(np.asarray(x).ravel()[0])
-    return np.array([[1.0], [x], [x * x]])
+def quadratic_jacobian(xs) -> np.ndarray:
+    """Analytic parameter Jacobians (1, x, x^2) of the quadratic toy at the
+    points ``xs``, shape (n, 3, 1)."""
+    x = np.asarray(xs, dtype=float).reshape(-1)
+    return np.stack([np.ones_like(x), x, x * x], axis=1)[:, :, None]
 
 
 class QuadraticModel(ModelHandle):
@@ -164,8 +155,10 @@ class QuadraticModel(ModelHandle):
         super().__init__(Box([-1.0], [1.0]), theta_nominal, coord_names=["x"],
                          output_names=["f"])
 
-    def _eval_impl(self, x, theta):
-        return np.array([quadratic_model(x, theta)])
+    def _eval_batch(self, xs, thetas):
+        return quadratic_model(xs[:, 0], thetas)[:, None]
 
-    def _analytic_jacobian(self, x):
-        return quadratic_jacobian(x)
+    def jacobian_batch(self, xs) -> np.ndarray:
+        jac = quadratic_jacobian(xs)
+        self._bump(jacobians=jac.shape[0])
+        return jac

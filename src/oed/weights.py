@@ -23,8 +23,7 @@ from .designs import (
     Criterion,
     SINGULAR_RTOL,
     _as_mu_array,
-    _inverse_spd,
-    _min_eig_projector,
+    _phi_terms,
     criterion_value,
     is_invertible,
 )
@@ -47,30 +46,20 @@ class WeightSolution:
 
 
 def _phi_and_value(w, arr, criterion):
-    """Objective, phi vector and validity flag for the current weights."""
+    """M, objective, phi = c - v and v for the weights; None if M is singular."""
     M = np.einsum("i,iab->ab", w, arr)
     M = 0.5 * (M + M.T)
     eig = np.linalg.eigvalsh(M)
     if not (eig[-1] > 0 and eig[0] > SINGULAR_RTOL * eig[-1]):
         return None
-    d = M.shape[0]
-    if criterion in (Criterion.D, Criterion.LOGD):
-        Minv = _inverse_spd(M)
-        v = np.einsum("ab,iba->i", Minv, arr)
-        phi = d - v
-        value = float(-np.sum(np.log(eig)))  # track log-D internally
-        return M, value, phi, v
+    c, v = _phi_terms(M, arr, criterion)
     if criterion is Criterion.A:
-        Minv = _inverse_spd(M)
-        v = np.einsum("ab,iba->i", Minv @ Minv, arr)
-        phi = float(np.trace(Minv)) - v
-        return M, float(np.sum(1.0 / eig)), phi, v
-    if criterion is Criterion.E:
-        lam_min, mult, P = _min_eig_projector(M)
-        g = np.einsum("dm,idk,km->i", P, arr, P) / mult
-        phi = lam_min - g
-        return M, float(1.0 / lam_min), phi, g
-    raise InvalidInputError(f"unknown criterion {criterion!r}")
+        value = float(np.sum(1.0 / eig))
+    elif criterion is Criterion.E:
+        value = float(1.0 / c)
+    else:
+        value = float(-np.sum(np.log(eig)))  # track log-D internally
+    return M, value, c - v, v
 
 
 def _segment_value(M0, M1, delta, criterion):

@@ -20,7 +20,9 @@ Parameter Jacobians come from forward sensitivities: the two states and
 their 2 x 4 sensitivities d(y1, y2)/dtheta are integrated together, ten rows
 per design point, through the same RK4 stages as the states. A Jacobian is
 therefore the exact derivative of the discrete RK4 map (central differences
-agree to within a few 1e-7 of each row's largest entry).
+agree to within a few 1e-7 of each row's largest entry). ``YeastModel``
+evaluates through ``simulate_batch`` and overrides only ``jacobian_batch``;
+``oed.models.fd_jacobian`` still gives the central-difference reference.
 """
 
 from __future__ import annotations
@@ -36,26 +38,6 @@ SAMPLE_EVERY_H = 2.0
 DEFAULT_STEP_H = 0.025
 DEFAULT_Y2_0 = 0.1
 SUBSTRATE_FORMS = ("as-printed", "classical")
-
-
-def control_at(u_steps, t: float) -> float:
-    """Step-function control value at time t: piece j covers [4j, 4(j+1))."""
-    u = np.asarray(u_steps, dtype=float).ravel()
-    if u.shape[0] != 5:
-        raise InvalidInputError(f"expected 5 control steps, got {u.shape[0]}")
-    if not 0.0 <= t <= T_END_H:
-        raise InvalidInputError(f"t={t} outside [0, {T_END_H}] h")
-    j = 4 if t == T_END_H else int(t // PIECE_H)
-    return float(u[j])
-
-
-def rk4_step(f, t, y, h):
-    """One classical Runge-Kutta step for dy/dt = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _check_step(h: float) -> tuple[int, int, int]:
@@ -183,7 +165,8 @@ def _check_inputs(xs, substrate_form: str) -> np.ndarray:
 def simulate_batch(xs, thetas, *, y2_0: float = DEFAULT_Y2_0,
                    substrate_form: str = "as-printed",
                    step: float = DEFAULT_STEP_H) -> np.ndarray:
-    """Vectorized simulation: (m, 11) inputs x (m, 4) thetas -> (m, 20) outputs."""
+    """Vectorized simulation: (m, 11) inputs x (m, 4) thetas (or one theta row)
+    -> (m, 20) outputs, y1 at t = 2, 4, ..., 20 h then y2."""
     xs = _check_inputs(xs, substrate_form)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != 4:
@@ -230,22 +213,14 @@ def sensitivity_batch(xs, theta, *, y2_0: float = DEFAULT_Y2_0,
     return samples.reshape(10, 2, 4, n).transpose(3, 2, 1, 0).reshape(n, 4, 20)
 
 
-def yeast_simulate(x, theta, *, y2_0: float = DEFAULT_Y2_0,
-                   substrate_form: str = "as-printed",
-                   step: float = DEFAULT_STEP_H) -> np.ndarray:
-    """Single-point simulation returning the 20-vector (y1 @ 2..20 h, y2 @ 2..20 h)."""
-    return simulate_batch(np.asarray(x, float).reshape(1, -1),
-                          np.asarray(theta, float).reshape(1, -1),
-                          y2_0=y2_0, substrate_form=substrate_form, step=step)[0]
-
-
 YEAST_LOWER = [1.0] + [0.05] * 5 + [5.0] * 5
 YEAST_UPPER = [10.0] + [0.2] * 5 + [35.0] * 5
 
 
 class YeastModel(ModelHandle):
     """Yeast DoE model; exact Jacobians from one vectorized forward-sensitivity
-    solve per batch, which counts Jacobians but no model evaluations."""
+    solve per batch (also for a single point), which counts Jacobians but no
+    model evaluations."""
 
     def __init__(self, theta_nominal=(0.5, 0.5, 0.5, 0.5),
                  y2_0: float = DEFAULT_Y2_0, substrate_form: str = "as-printed",
@@ -264,12 +239,9 @@ class YeastModel(ModelHandle):
         self.substrate_form = substrate_form
         self.step = step
 
-    def _eval_impl(self, x, theta):
-        return yeast_simulate(x, theta, y2_0=self.y2_0,
+    def _eval_batch(self, xs, thetas):
+        return simulate_batch(xs, thetas, y2_0=self.y2_0,
                               substrate_form=self.substrate_form, step=self.step)
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jacobian_batch([x])[0]
 
     def jacobian_batch(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))

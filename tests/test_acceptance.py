@@ -33,7 +33,8 @@ from oed.flash import (
 )
 from oed.gp import KernelParams, fit, kernel_matrix
 from oed.models import QuadraticModel
-from oed.yeast import DEFAULT_STEP_H, YeastModel, rk4_step, yeast_simulate
+from oed.yeast import DEFAULT_STEP_H, YeastModel, simulate_batch
+from oracles import rk4_step
 
 ATM_PA = 101_325.0
 # Measurement-error scaling used for the design-structure checks: 0.01 mol/mol
@@ -289,7 +290,7 @@ def test_criterion_8_sub_model_oracles():
 
     # Yeast: decoupled exponential decay and RK4 step-halving drift.
     x = np.array([5.0] + [0.05] * 5 + [20.0] * 5)
-    decay = yeast_simulate(x, np.array([0.0, 0.5, 0.5, 0.0]))
+    decay = simulate_batch(x, np.array([0.0, 0.5, 0.5, 0.0]))[0]
     expected = 5.0 * np.exp(-0.05 * np.arange(2, 22, 2))
     decay_ok = bool(np.max(np.abs(decay[:10] - expected) / expected) < 1e-6)
 
@@ -298,8 +299,8 @@ def test_criterion_8_sub_model_oracles():
     drift = 0.0
     for _ in range(10):
         xr = rng.uniform(model.bounds.lower, model.bounds.upper)
-        a = yeast_simulate(xr, [0.5] * 4, step=DEFAULT_STEP_H)
-        b = yeast_simulate(xr, [0.5] * 4, step=DEFAULT_STEP_H / 2)
+        a = simulate_batch(xr, [0.5] * 4, step=DEFAULT_STEP_H)[0]
+        b = simulate_batch(xr, [0.5] * 4, step=DEFAULT_STEP_H / 2)[0]
         drift = max(drift, float(np.max(np.abs((a - b) / b))))
     rk4_single = rk4_step(lambda t, s: -s, 0.0, np.array([1.0]), 0.1)[0]
     rk4_ok = abs(rk4_single - np.exp(-0.1)) < 1e-7

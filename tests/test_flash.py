@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oed.exceptions import InvalidInputError, NoSolutionError
+from oed.exceptions import InvalidInputError, NoSolutionError, NonFiniteModelError
 from oed.flash import (
     ACETONE,
+    FlashModel,
     METHANOL,
     METHANOL_ACETONE_NRTL,
     METHANOL_WATER_NRTL,
@@ -12,6 +13,7 @@ from oed.flash import (
     NrtlParams,
     SubstanceParams,
     WATER,
+    _bubble_residual,
     flash_solve,
     methanol_acetone_flash,
     methanol_water_flash,
@@ -26,6 +28,31 @@ def pure_boiling_point(substance):
     """Independent oracle: root of P0(T) = 1 atm on the pure-component curve."""
     return brentq(lambda T: vapor_pressure(substance, T) - ATM_PA, 250.0, 600.0,
                   xtol=1e-10)
+
+
+def brentq_flash(x, theta, substances):
+    """Independent oracle for the flash outputs (y_m_vap, T [C]): brentq on the
+    bubble-point residual, in place of the package's bisection."""
+    x_m, P_pa = x[0], x[1] * 1e5
+    nrtl = NrtlParams(*theta)
+    T = brentq(_bubble_residual, 250.0, 600.0, args=(x_m, P_pa, nrtl, substances),
+               xtol=1e-12, rtol=4 * np.finfo(float).eps)
+    gm, _ = nrtl_gammas(x_m, T, nrtl)
+    return np.array([x_m * gm * vapor_pressure(substances[0], T) / P_pa,
+                     T - 273.15])
+
+
+def brentq_flash_jacobian(x, theta, substances):
+    """Central differences of :func:`brentq_flash`, one parameter at a time."""
+    rows = []
+    for j in range(len(theta)):
+        h = 1e-6 * max(1.0, abs(theta[j]))
+        up, down = np.array(theta, float), np.array(theta, float)
+        up[j] += h
+        down[j] -= h
+        rows.append((brentq_flash(x, up, substances)
+                     - brentq_flash(x, down, substances)) / (2.0 * h))
+    return np.stack(rows)
 
 
 class TestVaporPressure:
@@ -139,6 +166,22 @@ class TestFlashSolve:
         with pytest.raises(NoSolutionError):
             flash_solve(0.5, 0.5, bad)
 
+    def test_non_finite_residual_raises(self):
+        # tau21 = 800 overflows gamma_m to inf, and x_m * gamma_m = 0 * inf is
+        # NaN at every temperature; the solver must not bisect down to the
+        # bracket floor.
+        with pytest.raises(NonFiniteModelError):
+            flash_solve(0.0, 1.0, NrtlParams(0.0, 800.0, 0.0, 0.0))
+
+    def test_matches_brentq_oracle(self):
+        rng = np.random.default_rng(4)
+        theta = methanol_water_flash().theta_nominal
+        for _ in range(10):
+            x = [float(rng.uniform()), float(rng.uniform(0.5, 5.0))]
+            got = flash_solve(x[0], x[1], METHANOL_WATER_NRTL)
+            want = brentq_flash(x, theta, (METHANOL, WATER))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestFlashModel:
     def test_eval_matches_flash_solve(self):
@@ -147,16 +190,22 @@ class TestFlashModel:
         y_m, T_c = flash_solve(0.3, 2.0, METHANOL_WATER_NRTL)
         assert np.allclose(y, [y_m, T_c])
 
-    def test_batch_jacobian_matches_scalar_route(self):
-        # Dual route: the vectorized bisection batch against per-point
-        # evaluation through the brentq path.
-        from oed.models import fd_jacobian
-
+    def test_batch_jacobian_matches_brentq_oracle(self):
+        # Dual route: the package's bisection and central differences against
+        # a second root-finder with its own differencing loop.
         xs = np.array([[0.15, 0.8], [0.5, 3.2], [0.92, 4.7]])
-        batch = methanol_water_flash().jacobian_batch(xs)
-        for k, x in enumerate(xs):
-            scalar = fd_jacobian(methanol_water_flash(), x)
-            assert np.allclose(batch[k], scalar, rtol=1e-6, atol=1e-7)
+        for model in (methanol_water_flash(), methanol_acetone_flash()):
+            batch = model.jacobian_batch(xs)
+            for k, x in enumerate(xs):
+                oracle = brentq_flash_jacobian(x, model.theta_nominal,
+                                               model.substances)
+                np.testing.assert_allclose(batch[k], oracle, rtol=1e-6, atol=1e-7)
+
+    def test_non_finite_jacobian_raises(self):
+        model = FlashModel(theta_nominal=(0.0, 800.0, 0.0, 0.0))
+        with pytest.raises(NonFiniteModelError):
+            model.jacobian_batch([[0.0, 1.0]])
+        assert model.n_jacobian_evals == 0
 
     def test_jacobian_finite_over_design_box(self):
         model = methanol_acetone_flash()

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oed.exceptions import InvalidInputError, NonFiniteModelError
+from oed.flash import methanol_acetone_flash, methanol_water_flash
 from oed.models import Box, ModelHandle, QuadraticModel, fd_jacobian, \
     quadratic_jacobian, quadratic_model
+from oed.yeast import YeastModel
 
 
 class PowerModel(ModelHandle):
@@ -12,8 +14,8 @@ class PowerModel(ModelHandle):
     def __init__(self, theta0=3.0):
         super().__init__(Box([0.0], [1.0]), [theta0])
 
-    def _eval_impl(self, x, theta):
-        return np.array([theta[0] ** 2])
+    def _eval_batch(self, xs, thetas):
+        return thetas[:, :1] ** 2
 
 
 class LinearModel(ModelHandle):
@@ -21,24 +23,24 @@ class LinearModel(ModelHandle):
         super().__init__(Box([0.0], [1.0]), [1.0, -2.0])
         self.A = np.array([[2.0, 1.0], [0.5, -1.0], [3.0, 0.0]])  # (d_y, d_theta)
 
-    def _eval_impl(self, x, theta):
-        return self.A @ theta
+    def _eval_batch(self, xs, thetas):
+        return thetas @ self.A.T
 
 
 class ConstantModel(ModelHandle):
     def __init__(self):
         super().__init__(Box([0.0], [1.0]), [1.0, 2.0])
 
-    def _eval_impl(self, x, theta):
-        return np.array([7.0])
+    def _eval_batch(self, xs, thetas):
+        return np.full((xs.shape[0], 1), 7.0)
 
 
 class ExplodingModel(ModelHandle):
     def __init__(self):
         super().__init__(Box([0.0], [1.0]), [1.0])
 
-    def _eval_impl(self, x, theta):
-        return np.array([np.inf if theta[0] > 1.0 else 0.0])
+    def _eval_batch(self, xs, thetas):
+        return np.where(thetas[:, :1] > 1.0, np.inf, 0.0)
 
 
 class TestBox:
@@ -139,3 +141,23 @@ class TestModelHandle:
         batch = model.jacobian_batch([[0.0], [0.5]])
         assert batch.shape == (2, 2, 3)
         assert model.n_jacobian_evals == 2
+
+
+BUNDLED_MODELS = {
+    "quadratic": QuadraticModel,
+    "flash-water": methanol_water_flash,
+    "flash-acetone": methanol_acetone_flash,
+    "yeast-as-printed": YeastModel,
+    "yeast-classical": lambda: YeastModel(substrate_form="classical"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_MODELS))
+def test_jacobian_is_the_batch_at_one_point(name):
+    single, batch = BUNDLED_MODELS[name](), BUNDLED_MODELS[name]()
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(single.bounds.lower, single.bounds.upper, size=(2, single.d_x)):
+        assert np.array_equal(single.jacobian(x), batch.jacobian_batch([x])[0])
+    assert (single.n_evals, single.n_jacobian_evals) == \
+        (batch.n_evals, batch.n_jacobian_evals)
+    assert single.n_jacobian_evals == 2

@@ -4,14 +4,8 @@ import pytest
 from oed.bench import yeast_grid
 from oed.exceptions import InvalidInputError, NonFiniteModelError
 from oed.models import fd_jacobian
-from oed.yeast import (
-    DEFAULT_STEP_H,
-    YeastModel,
-    control_at,
-    rk4_step,
-    simulate_batch,
-    yeast_simulate,
-)
+from oed.yeast import DEFAULT_STEP_H, YeastModel, simulate_batch
+from oracles import control_at, rk4_step
 
 X_REF = np.array([5.0, 0.1, 0.2, 0.05, 0.15, 0.1, 10.0, 30.0, 5.0, 20.0, 35.0])
 THETA_REF = np.array([0.5, 0.5, 0.5, 0.5])
@@ -75,26 +69,26 @@ class TestYeastSimulate:
         # theta1 = theta4 = 0 decouples y1: dy1/dt = -u1*y1 with constant u1.
         x = np.array([5.0] + [0.05] * 5 + [20.0] * 5)
         theta = np.array([0.0, 0.5, 0.5, 0.0])
-        out = yeast_simulate(x, theta)
+        out = simulate_batch(x, theta)[0]
         expected = 5.0 * np.exp(-0.05 * np.arange(2, 22, 2))
         assert np.allclose(out[:10], expected, rtol=1e-6)
 
     def test_output_layout(self):
-        out = yeast_simulate(X_REF, THETA_REF)
+        out = simulate_batch(X_REF, THETA_REF)[0]
         assert out.shape == (20,)
         # first ten entries are biomass samples: positive and distinct from y2
         assert np.all(out[:10] > 0)
 
     def test_matches_scalar_reference(self):
         for form in ("as-printed", "classical"):
-            ours = yeast_simulate(X_REF, THETA_REF, substrate_form=form)
+            ours = simulate_batch(X_REF, THETA_REF, substrate_form=form)[0]
             ref = reference_simulation(X_REF, THETA_REF, substrate_form=form)
             assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
 
     def test_piecewise_integration_invariance(self):
         # Integrating piece by piece (forcing breaks at t = 4k) must agree to
         # float tolerance since steps already align with the control pieces.
-        ours = yeast_simulate(X_REF, THETA_REF)
+        ours = simulate_batch(X_REF, THETA_REF)[0]
         ref = reference_simulation(X_REF, THETA_REF)
         assert np.max(np.abs(ours - ref)) < 1e-12
 
@@ -104,8 +98,8 @@ class TestYeastSimulate:
         lo, hi = model.bounds.lower, model.bounds.upper
         for _ in range(20):
             x = rng.uniform(lo, hi)
-            a = yeast_simulate(x, THETA_REF, step=DEFAULT_STEP_H)
-            b = yeast_simulate(x, THETA_REF, step=DEFAULT_STEP_H / 2)
+            a = simulate_batch(x, THETA_REF, step=DEFAULT_STEP_H)[0]
+            b = simulate_batch(x, THETA_REF, step=DEFAULT_STEP_H / 2)[0]
             assert np.max(np.abs((a - b) / b)) < 1e-6
 
     def test_biomass_stays_positive(self):
@@ -117,22 +111,22 @@ class TestYeastSimulate:
         assert np.all(out[:, :10] > 0)
 
     def test_substrate_forms_differ(self):
-        a = yeast_simulate(X_REF, THETA_REF, substrate_form="as-printed")
-        b = yeast_simulate(X_REF, THETA_REF, substrate_form="classical")
+        a = simulate_batch(X_REF, THETA_REF, substrate_form="as-printed")[0]
+        b = simulate_batch(X_REF, THETA_REF, substrate_form="classical")[0]
         assert not np.allclose(a, b)
 
     def test_bad_form_rejected(self):
         with pytest.raises(InvalidInputError):
-            yeast_simulate(X_REF, THETA_REF, substrate_form="monod")
+            simulate_batch(X_REF, THETA_REF, substrate_form="monod")
 
     def test_misaligned_step_rejected(self):
         with pytest.raises(InvalidInputError):
-            yeast_simulate(X_REF, THETA_REF, step=0.3)
+            simulate_batch(X_REF, THETA_REF, step=0.3)
 
     def test_non_finite_state_detected(self):
         # theta2 < 0 puts the Monod denominator through zero.
         with pytest.raises(NonFiniteModelError):
-            yeast_simulate(X_REF, np.array([0.5, -0.1, 0.5, 0.5]))
+            simulate_batch(X_REF, np.array([0.5, -0.1, 0.5, 0.5]))
 
 
 class TestYeastModel:
