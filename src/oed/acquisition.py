@@ -30,7 +30,7 @@ class SobolStream:
     continue the sequence, so drawing 2 then 1 equals drawing 3 at once.
     """
 
-    def __init__(self, dim: int, index: int = 0):
+    def __init__(self, dim: int):
         if dim < 1:
             raise InvalidInputError(f"dimension must be >= 1, got {dim}")
         if dim > MAX_SOBOL_DIM:
@@ -38,10 +38,8 @@ class SobolStream:
                 f"Sobol direction numbers available up to dimension "
                 f"{MAX_SOBOL_DIM}, requested {dim}"
             )
-        if index < 0:
-            raise InvalidInputError("index must be nonnegative")
         self.dim = dim
-        self.index = index
+        self.index = 0
 
     def next(self, count: int) -> np.ndarray:
         """Next ``count`` points, shape (count, dim), advancing the index."""

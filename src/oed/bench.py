@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ProblemConfig, grid_from_levels
+from .exceptions import ConfigError
 from .report import summary_objective
 from .runner import run_and_emit
 
@@ -34,27 +35,13 @@ def yeast_grid() -> np.ndarray:
     return grid_from_levels(levels)
 
 
-def _cfg(model, algorithm, *, grid=None, n_initial=None, model_options=None,
-         max_iterations=10_000, seed=0) -> ProblemConfig:
-    return ProblemConfig(
-        model=model,
-        algorithm=algorithm,
-        criterion="logD",
-        epsilon=1e-3,
-        max_iterations=max_iterations,
-        n_initial=n_initial,
-        seed=seed,
-        grid=grid,
-        model_options=dict(model_options or {}),
-    )
-
-
 def _quadratic_suite(seed):
     grid = quadratic_grid()
     return [
-        ("quadratic-vdm", _cfg("quadratic", "vdm", grid=grid, seed=seed)),
-        ("quadratic-ybt", _cfg("quadratic", "ybt", grid=grid, seed=seed)),
-        ("quadratic-adagpr", _cfg("quadratic", "adagpr", n_initial=10, seed=seed)),
+        ("quadratic-vdm", ProblemConfig("quadratic", "vdm", grid=grid, seed=seed)),
+        ("quadratic-ybt", ProblemConfig("quadratic", "ybt", grid=grid, seed=seed)),
+        ("quadratic-adagpr", ProblemConfig("quadratic", "adagpr", n_initial=10,
+                                           seed=seed)),
     ]
 
 
@@ -62,9 +49,10 @@ def _flash_suite(variant, seed):
     model = f"flash-meoh-{variant}"
     grid = flash_grid()
     return [
-        (f"flash-{variant}-vdm", _cfg(model, "vdm", grid=grid, seed=seed)),
-        (f"flash-{variant}-ybt", _cfg(model, "ybt", grid=grid, seed=seed)),
-        (f"flash-{variant}-adagpr", _cfg(model, "adagpr", n_initial=50, seed=seed)),
+        (f"flash-{variant}-vdm", ProblemConfig(model, "vdm", grid=grid, seed=seed)),
+        (f"flash-{variant}-ybt", ProblemConfig(model, "ybt", grid=grid, seed=seed)),
+        (f"flash-{variant}-adagpr", ProblemConfig(model, "adagpr", n_initial=50,
+                                                  seed=seed)),
     ]
 
 
@@ -73,36 +61,34 @@ def _yeast_suite(substrate_form, seed):
     opts = {"substrate_form": substrate_form}
     grid = yeast_grid()
     return [
-        (f"{tag}-vdm", _cfg("yeast", "vdm", grid=grid, model_options=opts,
-                            seed=seed)),
-        (f"{tag}-ybt", _cfg("yeast", "ybt", grid=grid, model_options=opts,
-                            seed=seed)),
-        (f"{tag}-adagpr", _cfg("yeast", "adagpr", n_initial=200,
-                               model_options=opts, max_iterations=600,
-                               seed=seed)),
+        (f"{tag}-vdm", ProblemConfig("yeast", "vdm", grid=grid,
+                                     model_options=opts, seed=seed)),
+        (f"{tag}-ybt", ProblemConfig("yeast", "ybt", grid=grid,
+                                     model_options=opts, seed=seed)),
+        (f"{tag}-adagpr", ProblemConfig("yeast", "adagpr", n_initial=200,
+                                        model_options=opts, max_iterations=600,
+                                        seed=seed)),
     ]
 
 
+SUITES = {
+    "quadratic": _quadratic_suite,
+    "flash-water": lambda seed: _flash_suite("water", seed),
+    "flash-acetone": lambda seed: _flash_suite("acetone", seed),
+    "yeast": lambda seed: _yeast_suite("as-printed", seed),
+    "yeast-classical": lambda seed: _yeast_suite("classical", seed),
+}
+
+
 def suite_configs(suite: str, seed: int = 0):
-    """Named (run-name, config) pairs for a benchmark suite."""
-    suites = {
-        "quadratic": lambda: _quadratic_suite(seed),
-        "flash-water": lambda: _flash_suite("water", seed),
-        "flash-acetone": lambda: _flash_suite("acetone", seed),
-        "yeast": lambda: _yeast_suite("as-printed", seed),
-        "yeast-classical": lambda: _yeast_suite("classical", seed),
-    }
+    """Named (run-name, config) pairs for a benchmark suite, or for ``all``."""
     if suite == "all":
-        runs = []
-        for name in ("quadratic", "flash-water", "flash-acetone", "yeast",
-                     "yeast-classical"):
-            runs.extend(suites[name]())
-        return runs
-    if suite not in suites:
-        raise KeyError(
-            f"unknown suite {suite!r}; known: {sorted(suites) + ['all']}"
+        return [run for build in SUITES.values() for run in build(seed)]
+    if suite not in SUITES:
+        raise ConfigError(
+            f"unknown suite {suite!r}; known: {sorted(SUITES) + ['all']}"
         )
-    return suites[suite]()
+    return SUITES[suite](seed)
 
 
 def run_suite(suite: str, out_root, seed: int = 0, echo=print):

@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import run_suite, suite_configs
+from .bench import SUITES, run_suite
 from .config import load_problem
 from .exceptions import ConfigError, InvalidInputError, OedError
 from .report import summary_objective
@@ -45,8 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("config", help="path to the problem JSON file")
 
     bench_p = sub.add_parser("bench", help="run a benchmark suite")
-    bench_p.add_argument("suite", help="suite name: quadratic, flash-water, "
-                                       "flash-acetone, yeast, yeast-classical, all")
+    bench_p.add_argument("suite", help="suite name: " + ", ".join([*SUITES, "all"]))
     bench_p.add_argument("--out", default="oed-bench",
                          help="output root directory (default: ./oed-bench)")
     bench_p.add_argument("--seed", type=int, default=0)
@@ -77,11 +76,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        suite_configs(args.suite, args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
     run_suite(args.suite, args.out, seed=args.seed)
     return EXIT_OK
 

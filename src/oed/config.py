@@ -11,31 +11,26 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .algorithms import AlgoConfig, check_inputs
 from .designs import Criterion, SigmaEps
-from .exceptions import ConfigError, InvalidInputError
+from .exceptions import ConfigError
 from .flash import methanol_acetone_flash, methanol_water_flash
 from .models import ModelHandle, QuadraticModel
 from .yeast import YeastModel
 
 ALGORITHMS = ("vdm", "ybt", "adagpr")
 
+# ``model_options`` are the keyword arguments of these constructors.
 MODEL_BUILDERS = {
-    "quadratic": lambda opts: QuadraticModel(
-        theta_nominal=opts.get("theta_nominal", (1.0, 1.0, 1.0))
-    ),
-    "flash-meoh-water": lambda opts: methanol_water_flash(),
-    "flash-meoh-acetone": lambda opts: methanol_acetone_flash(),
-    "yeast": lambda opts: YeastModel(
-        theta_nominal=opts.get("theta_nominal", (0.5, 0.5, 0.5, 0.5)),
-        y2_0=opts.get("y2_0", 0.1),
-        substrate_form=opts.get("substrate_form", "as-printed"),
-    ),
+    "quadratic": QuadraticModel,
+    "flash-meoh-water": methanol_water_flash,
+    "flash-meoh-acetone": methanol_acetone_flash,
+    "yeast": YeastModel,
 }
 
 
@@ -53,24 +48,31 @@ def grid_from_levels(levels) -> np.ndarray:
 
 @contextmanager
 def _as_config_error():
-    """Report the algorithm-side input checks as configuration errors."""
+    """Report bad values, unknown model options and the algorithm-side input
+    checks as configuration errors."""
     try:
         yield
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # InvalidInputError is a ValueError
+        raise ConfigError(f"invalid configuration value: {exc}") from exc
 
 
 @dataclass
 class ProblemConfig:
-    """Validated problem definition with defaults filled in."""
+    """Validated problem definition with defaults filled in.
+
+    Its fields are the problem file's keys; the algorithm settings default
+    to :class:`AlgoConfig`'s.
+    """
 
     model: str
     algorithm: str
-    criterion: Criterion = Criterion.LOGD
-    epsilon: float = 1e-3
-    max_iterations: int = 10_000
-    n_initial: int | None = None
-    seed: int = 0
+    criterion: Criterion = AlgoConfig.criterion
+    epsilon: float = AlgoConfig.epsilon
+    max_iterations: int = AlgoConfig.max_iterations
+    n_initial: int | None = AlgoConfig.n_initial
+    seed: int = AlgoConfig.rng_seed
     sigma_eps: np.ndarray | None = None  # covariance matrix, None = identity
     grid: np.ndarray | None = None
     model_options: dict = field(default_factory=dict)
@@ -87,6 +89,12 @@ class ProblemConfig:
             )
         if not isinstance(self.criterion, Criterion):
             self.criterion = Criterion.parse(self.criterion)
+        self.epsilon = float(self.epsilon)
+        self.max_iterations = int(self.max_iterations)
+        if self.n_initial is not None:
+            self.n_initial = int(self.n_initial)
+        self.seed = int(self.seed)
+        self.model_options = dict(self.model_options)
         if self.algorithm == "adagpr" and self.grid is not None:
             raise ConfigError("adagpr works on the continuous space; remove 'grid'")
         if self.algorithm in ("vdm", "ybt") and self.grid is None:
@@ -96,8 +104,8 @@ class ProblemConfig:
         self.algo_config()  # epsilon, max_iterations and sigma_eps
 
     def build_model(self) -> ModelHandle:
-        model = MODEL_BUILDERS[self.model](self.model_options)
         with _as_config_error():
+            model = MODEL_BUILDERS[self.model](**self.model_options)
             check_inputs(model, self.algo_config(), self.grid)
         return model
 
@@ -115,73 +123,48 @@ class ProblemConfig:
 
     def normalized(self) -> dict:
         """Canonical JSON-ready dict; loading it back reproduces this config."""
-        out = {
-            "model": self.model,
-            "algorithm": self.algorithm,
-            "criterion": self.criterion.value,
-            "epsilon": self.epsilon,
-            "max_iterations": self.max_iterations,
-            "seed": self.seed,
-        }
-        if self.n_initial is not None:
-            out["n_initial"] = self.n_initial
-        if self.sigma_eps is not None:
-            out["sigma_eps"] = self.sigma_eps.tolist()
-        if self.grid is not None:
-            out["grid"] = {"points": self.grid.tolist()}
-        if self.model_options:
-            out["model_options"] = dict(self.model_options)
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Criterion):
+                value = value.value
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, dict):
+                value = dict(value)
+            if value is None or value == {}:
+                continue
+            out[f.name] = {"points": value} if f.name == "grid" else value
         return out
 
 
-_KNOWN_KEYS = {"model", "algorithm", "criterion", "epsilon", "max_iterations",
-               "n_initial", "seed", "sigma_eps", "grid", "model_options",
-               "out_dir"}
+def _parse_grid(spec) -> np.ndarray | None:
+    if spec is None:
+        return None
+    if isinstance(spec, dict) and "points" in spec:
+        grid = np.atleast_2d(np.asarray(spec["points"], dtype=float))
+    elif isinstance(spec, dict) and "levels" in spec:
+        grid = grid_from_levels(spec["levels"])
+    else:
+        raise ConfigError("grid must be {'points': [...]} or {'levels': [...]}")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("grid contains non-finite values")
+    return grid
 
 
 def config_from_dict(raw: dict) -> ProblemConfig:
     if not isinstance(raw, dict):
         raise ConfigError("problem file must contain a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    keys = fields(ProblemConfig)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for key in ("model", "algorithm"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-
-    grid = None
-    if raw.get("grid") is not None:
-        spec = raw["grid"]
-        if isinstance(spec, dict) and "points" in spec:
-            grid = np.atleast_2d(np.asarray(spec["points"], dtype=float))
-        elif isinstance(spec, dict) and "levels" in spec:
-            grid = grid_from_levels(spec["levels"])
-        else:
-            raise ConfigError("grid must be {'points': [...]} or {'levels': [...]}")
-        if not np.all(np.isfinite(grid)):
-            raise ConfigError("grid contains non-finite values")
-
-    try:
-        cfg = ProblemConfig(
-            model=raw["model"],
-            algorithm=raw["algorithm"],
-            criterion=raw.get("criterion", "logD"),
-            epsilon=float(raw.get("epsilon", 1e-3)),
-            max_iterations=int(raw.get("max_iterations", 10_000)),
-            n_initial=(int(raw["n_initial"]) if raw.get("n_initial") is not None
-                       else None),
-            seed=int(raw.get("seed", 0)),
-            sigma_eps=raw.get("sigma_eps"),
-            grid=grid,
-            model_options=dict(raw.get("model_options", {})),
-            out_dir=raw.get("out_dir"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid configuration value: {exc}") from exc
+    for f in keys:
+        if f.default is MISSING and f.default_factory is MISSING \
+                and f.name not in raw:
+            raise ConfigError(f"missing required key {f.name!r}")
+    with _as_config_error():
+        cfg = ProblemConfig(**dict(raw, grid=_parse_grid(raw.get("grid"))))
     cfg.build_model()  # validates model-dependent constraints eagerly
     return cfg
 

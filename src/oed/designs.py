@@ -198,10 +198,10 @@ def information_matrix(design_or_weights, mus) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def is_invertible(M: np.ndarray, rtol: float = SINGULAR_RTOL) -> bool:
-    """Spectral invertibility test: lambda_min > rtol * lambda_max."""
+def is_invertible(M: np.ndarray) -> bool:
+    """Spectral invertibility test: lambda_min > SINGULAR_RTOL * lambda_max."""
     eig = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    return bool(eig[-1] > 0 and eig[0] > rtol * eig[-1])
+    return bool(eig[-1] > 0 and eig[0] > SINGULAR_RTOL * eig[-1])
 
 
 def _checked_eigvalsh(M, criterion):

@@ -133,7 +133,10 @@ def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
     when the residual does not change sign across the bracket."""
 
     def residual(T):
-        res = _bubble_residual(T, x_m, P_pa, nrtl, substances)
+        # Overflow in the NRTL terms is legal input behavior; the finiteness
+        # check below turns it into a typed error, so silence numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = _bubble_residual(T, x_m, P_pa, nrtl, substances)
         if not np.all(np.isfinite(res)):
             raise NonFiniteModelError("non-finite bubble-point residual")
         return res

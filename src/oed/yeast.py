@@ -223,8 +223,7 @@ class YeastModel(ModelHandle):
     model evaluations."""
 
     def __init__(self, theta_nominal=(0.5, 0.5, 0.5, 0.5),
-                 y2_0: float = DEFAULT_Y2_0, substrate_form: str = "as-printed",
-                 step: float = DEFAULT_STEP_H):
+                 y2_0: float = DEFAULT_Y2_0, substrate_form: str = "as-printed"):
         if substrate_form not in SUBSTRATE_FORMS:
             raise InvalidInputError(
                 f"substrate_form must be one of {SUBSTRATE_FORMS}, got {substrate_form!r}"
@@ -237,16 +236,14 @@ class YeastModel(ModelHandle):
                          coord_names=names, output_names=outputs)
         self.y2_0 = y2_0
         self.substrate_form = substrate_form
-        self.step = step
 
     def _eval_batch(self, xs, thetas):
         return simulate_batch(xs, thetas, y2_0=self.y2_0,
-                              substrate_form=self.substrate_form, step=self.step)
+                              substrate_form=self.substrate_form)
 
     def jacobian_batch(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         jac = sensitivity_batch(xs, self.theta_nominal, y2_0=self.y2_0,
-                                substrate_form=self.substrate_form,
-                                step=self.step)
+                                substrate_form=self.substrate_form)
         self._bump(jacobians=xs.shape[0])
         return jac

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from oed.algorithms import AlgoReport, TimingBreakdown
+from oed.algorithms import AlgoConfig, AlgoReport, TimingBreakdown
 from oed.cli import main
 from oed.config import (
     ProblemConfig,
@@ -36,6 +37,13 @@ QUADRATIC_YBT = {
     "grid": {"levels": [[-1.0, -0.5, 0.0, 0.5, 1.0]]},
 }
 
+# A misspelt yeast option ("substrate_from"), and an option for a flash
+# model, which takes none.
+BAD_YEAST_OPTION = {"model": "yeast", "algorithm": "adagpr", "n_initial": 200,
+                    "model_options": {"substrate_from": "classical"}}
+BAD_FLASH_OPTION = dict(MINIMAL_FLASH_ADAGPR,
+                        model_options={"theta_nominal": [0.0, 0.0, 0.0, 0.0]})
+
 
 class TestGridFromLevels:
     def test_product_expansion(self):
@@ -61,6 +69,9 @@ class TestLoadProblem:
         assert cfg.sigma_eps is None
         assert cfg.criterion is Criterion.LOGD
         assert cfg.max_iterations == 10_000
+        assert cfg.algo_config() == dataclasses.replace(AlgoConfig(), n_initial=50)
+        bare = {"model": "flash-meoh-water", "algorithm": "adagpr"}
+        assert load_problem(write_config(tmp_path, bare)).algo_config() == AlgoConfig()
 
     def test_adagpr_with_grid_rejected(self, tmp_path):
         payload = dict(MINIMAL_FLASH_ADAGPR, grid={"points": [[0.5, 1.0]]})
@@ -90,6 +101,11 @@ class TestLoadProblem:
 
     def test_grid_outside_bounds_rejected(self, tmp_path):
         payload = dict(QUADRATIC_YBT, grid={"points": [[-2.0], [0.0]]})
+        with pytest.raises(ConfigError):
+            load_problem(write_config(tmp_path, payload))
+
+    def test_ragged_grid_points_rejected(self, tmp_path):
+        payload = dict(QUADRATIC_YBT, grid={"points": [[0.0], [0.5, 1.0]]})
         with pytest.raises(ConfigError):
             load_problem(write_config(tmp_path, payload))
 
@@ -139,6 +155,11 @@ class TestLoadProblem:
                    "model_options": {"substrate_form": "classical"}}
         cfg = load_problem(write_config(tmp_path, payload))
         assert cfg.build_model().substrate_form == "classical"
+
+    @pytest.mark.parametrize("payload", [BAD_YEAST_OPTION, BAD_FLASH_OPTION])
+    def test_unknown_model_option_rejected(self, tmp_path, payload):
+        with pytest.raises(ConfigError, match="unexpected keyword argument"):
+            load_problem(write_config(tmp_path, payload))
 
     def test_round_trip_of_normalized_config(self, tmp_path):
         cfg = load_problem(write_config(tmp_path, QUADRATIC_YBT))
@@ -204,6 +225,13 @@ class TestCli:
         assert main(["check", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("payload", [BAD_YEAST_OPTION, BAD_FLASH_OPTION])
+    def test_check_unknown_model_option_exits_2(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and next(iter(payload["model_options"])) in err
+
     def test_check_invalid_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": "quadratic", "algorithm": "vdm"})
         assert main(["check", str(path)]) == 2
@@ -246,3 +274,7 @@ class TestCli:
 
     def test_bench_unknown_suite_exits_2(self, capsys):
         assert main(["bench", "nope", "--out", "/tmp/unused"]) == 2
+        err = capsys.readouterr().err
+        for suite in ("quadratic", "flash-water", "flash-acetone", "yeast",
+                      "yeast-classical", "all"):
+            assert repr(suite) in err

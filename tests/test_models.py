@@ -136,7 +136,7 @@ class TestModelHandle:
         model = PowerModel(3.0)
         assert model.eval([0.0])[0] == pytest.approx(9.0)
 
-    def test_jacobian_batch_default_loops(self):
+    def test_jacobian_batch_default_is_one_central_difference_call(self):
         model = LinearModel()
         batch = model.jacobian_batch([[0.0], [0.5]])
         assert batch.shape == (2, 2, 3)
