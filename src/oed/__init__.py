@@ -25,7 +25,6 @@ from .designs import (
     Design,
     SigmaEps,
     criterion_value,
-    directional_derivative,
     directional_derivatives,
     fisher_at_point,
     fisher_at_points,

@@ -26,7 +26,6 @@ from .designs import (
     Design,
     SigmaEps,
     criterion_value,
-    directional_derivative,
     directional_derivatives,
     fisher_at_point,
     fisher_at_points,
@@ -270,7 +269,7 @@ def _exchange(run: _Run, cfg: AlgoConfig, keys: list, cand: np.ndarray,
             position[key] = len(keys)
             w = np.append(w, alpha)
         else:
-            delta, _ = _line_search(M, mu, 0.5, cfg.criterion)
+            delta = _line_search(M, mu, 0.5, cfg.criterion)
             warm = np.append(w * (1.0 - delta), max(delta, 1e-12))
         keys.append(key)
         cand = np.concatenate([cand, mu[None]])
@@ -434,7 +433,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
                 f"point {MAX_POINT_REJECTIONS} times"
             )
         mu_new = fisher_at_point(jac_new, cfg.sigma_eps)
-        tau = next_tau(tau, directional_derivative(M, mu_new, cfg.criterion))
+        tau = next_tau(tau, directional_derivatives(M, mu_new, cfg.criterion)[0])
         return u_new, mu_new
 
     return _exchange(run, cfg, list(U), mus, propose,

@@ -7,7 +7,9 @@ over designs, and the directional derivative ``phi`` whose sign certifies
 global optimality (Kiefer-Wolfowitz equivalence theorem): a design is optimal
 iff ``min_x phi(xi, x) >= 0``.
 
-Fisher matrices are plain symmetric ``(d_theta, d_theta)`` numpy arrays.
+Fisher matrices are plain symmetric ``(d_theta, d_theta)`` numpy arrays. The
+information-matrix math lives here once: the assembly of M, the singularity
+rule, the criterion values and phi, the last three from one decomposition of M.
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ _CRITERION_TAGS = {"a": Criterion.A, "d": Criterion.D, "logd": Criterion.LOGD,
                    "e": Criterion.E}
 
 
+def _checked_spd(matrix, name: str) -> np.ndarray:
+    """``matrix`` as a float array, checked square, finite, symmetric and PD."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInputError(f"{name} must be square")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError(f"{name} must be finite")
+    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+        raise InvalidInputError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(m).min() <= 0:
+        raise InvalidInputError(f"{name} must be positive definite")
+    return m
+
+
 @dataclass(frozen=True)
 class SigmaEps:
     """Inverse measurement-error covariance (precision matrix) Sigma_eps^-1."""
@@ -57,15 +73,7 @@ class SigmaEps:
     precision: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.precision, dtype=float))
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise InvalidInputError("precision matrix must be square")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("precision matrix must be finite")
-        if not np.allclose(p, p.T, rtol=1e-10, atol=1e-12):
-            raise InvalidInputError("precision matrix must be symmetric")
-        if np.linalg.eigvalsh(p).min() <= 0:
-            raise InvalidInputError("precision matrix must be positive definite")
+        p = _checked_spd(self.precision, "precision matrix")
         object.__setattr__(self, "precision", 0.5 * (p + p.T))
 
     @classmethod
@@ -74,8 +82,11 @@ class SigmaEps:
 
     @classmethod
     def from_covariance(cls, cov) -> "SigmaEps":
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        return cls(np.linalg.inv(cov))
+        cov = _checked_spd(cov, "covariance matrix")
+        try:
+            return cls(np.linalg.inv(cov))
+        except np.linalg.LinAlgError:
+            raise InvalidInputError("covariance matrix is singular") from None
 
     @property
     def d_y(self) -> int:
@@ -183,6 +194,12 @@ def fisher_at_points(jacobians, sigma: SigmaEps | None = None) -> np.ndarray:
     return 0.5 * (mus + np.transpose(mus, (0, 2, 1)))
 
 
+def _weighted_sum(w, arr) -> np.ndarray:
+    """``M = sum_i w_i arr_i``, symmetrized: the one assembly of M."""
+    M = np.einsum("i,iab->ab", w, arr)
+    return 0.5 * (M + M.T)
+
+
 def information_matrix(design_or_weights, mus) -> np.ndarray:
     """Weighted sum ``M = sum_i w_i mu_i`` of per-point Fisher matrices."""
     if isinstance(design_or_weights, Design):
@@ -194,78 +211,67 @@ def information_matrix(design_or_weights, mus) -> np.ndarray:
         raise InvalidInputError(
             f"{w.shape[0]} weights but {arr.shape[0]} Fisher matrices"
         )
-    M = np.einsum("i,iab->ab", w, arr)
-    return 0.5 * (M + M.T)
+    return _weighted_sum(w, arr)
+
+
+# The spectral core: functions of the ascending eigenvalues ``lam`` (and, for
+# phi, the eigenvectors ``V``) of M, so each caller decomposes M once.
+
+def _is_regular(lam) -> bool:
+    """The singularity rule: lambda_min > SINGULAR_RTOL * lambda_max > 0."""
+    return bool(lam[-1] > 0 and lam[0] > SINGULAR_RTOL * lam[-1])
+
+
+def _singular(lam) -> SingularInformationError:
+    return SingularInformationError(
+        f"information matrix is singular (eigenvalues {lam.min():.3e} .. "
+        f"{lam.max():.3e})"
+    )
+
+
+def _spectral_value(lam, criterion: Criterion) -> float:
+    """Phi(M) from the eigenvalues of M; E is +inf when lambda_min <= 0."""
+    if criterion is Criterion.A:
+        return float(np.sum(1.0 / lam))
+    if criterion is Criterion.D:
+        logdet = float(np.sum(np.log(lam)))
+        with np.errstate(over="ignore"):
+            return float(np.exp(-logdet))
+    if criterion is Criterion.LOGD:
+        return float(-np.sum(np.log(lam)))
+    if criterion is Criterion.E:
+        if lam[0] <= 0:
+            return float("inf")
+        return float(1.0 / lam[0])
+    raise InvalidInputError(f"unknown criterion {criterion!r}")
+
+
+def _phi_terms(lam, V, arr, criterion: Criterion):
+    """``(c, v)`` with ``phi = c - v`` for M = V diag(lam) V^T, M regular."""
+    if criterion in (Criterion.D, Criterion.LOGD, Criterion.A):
+        Minv = (V / lam) @ V.T
+        if criterion is Criterion.A:
+            return float(np.trace(Minv)), np.einsum("ab,iba->i", Minv @ Minv, arr)
+        return lam.shape[0], np.einsum("ab,iba->i", Minv, arr)
+    if criterion is Criterion.E:
+        scale = max(abs(lam[-1]), 1e-300)
+        mult = int(np.sum((lam - lam[0]) / scale < EIG_MULTIPLICITY_RTOL))
+        P = V[:, :mult]
+        return lam[0], np.einsum("dm,idk,km->i", P, arr, P) / mult
+    raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
 def is_invertible(M: np.ndarray) -> bool:
     """Spectral invertibility test: lambda_min > SINGULAR_RTOL * lambda_max."""
-    eig = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    return bool(eig[-1] > 0 and eig[0] > SINGULAR_RTOL * eig[-1])
-
-
-def _checked_eigvalsh(M, criterion):
-    M = np.asarray(M, dtype=float)
-    eig = np.linalg.eigvalsh(M)
-    if criterion is not Criterion.E and not (
-        eig[-1] > 0 and eig[0] > SINGULAR_RTOL * eig[-1]
-    ):
-        raise SingularInformationError(
-            f"information matrix is singular (eigenvalues {eig.min():.3e} .. "
-            f"{eig.max():.3e})"
-        )
-    return eig
+    return _is_regular(np.linalg.eigvalsh(np.asarray(M, dtype=float)))
 
 
 def criterion_value(M, criterion: Criterion) -> float:
     """Scalar criterion value Phi(M); smaller is better for all criteria."""
-    eig = _checked_eigvalsh(M, criterion)
-    if criterion is Criterion.A:
-        return float(np.sum(1.0 / eig))
-    if criterion is Criterion.D:
-        logdet = float(np.sum(np.log(eig)))
-        with np.errstate(over="ignore"):
-            return float(np.exp(-logdet))
-    if criterion is Criterion.LOGD:
-        return float(-np.sum(np.log(eig)))
-    if criterion is Criterion.E:
-        lam_min = eig[0]
-        if lam_min <= 0:
-            return float("inf")
-        return float(1.0 / lam_min)
-    raise InvalidInputError(f"unknown criterion {criterion!r}")
-
-
-def _inverse_spd(M) -> np.ndarray:
-    """Inverse of a symmetric PD matrix through its eigendecomposition."""
-    lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
-    if not (lam[-1] > 0 and lam[0] > SINGULAR_RTOL * lam[-1]):
-        raise SingularInformationError(
-            f"information matrix is singular (eigenvalues {lam.min():.3e} .. "
-            f"{lam.max():.3e})"
-        )
-    return (V / lam) @ V.T
-
-
-def _min_eig_projector(M):
-    """Smallest eigenvalue, its multiplicity and the (d, mult) eigenvector block."""
-    lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
-    scale = max(abs(lam[-1]), 1e-300)
-    mult = int(np.sum((lam - lam[0]) / scale < EIG_MULTIPLICITY_RTOL))
-    return lam[0], mult, V[:, :mult]
-
-
-def _phi_terms(M, arr, criterion: Criterion):
-    """``(c, v)`` with ``phi = c - v``, as in :func:`directional_derivatives`."""
-    if criterion in (Criterion.D, Criterion.LOGD):
-        return M.shape[0], np.einsum("ab,iba->i", _inverse_spd(M), arr)
-    if criterion is Criterion.A:
-        Minv = _inverse_spd(M)
-        return float(np.trace(Minv)), np.einsum("ab,iba->i", Minv @ Minv, arr)
-    if criterion is Criterion.E:
-        lam_min, mult, P = _min_eig_projector(M)
-        return lam_min, np.einsum("dm,idk,km->i", P, arr, P) / mult
-    raise InvalidInputError(f"unknown criterion {criterion!r}")
+    lam = np.linalg.eigvalsh(np.asarray(M, dtype=float))
+    if criterion is not Criterion.E and not _is_regular(lam):
+        raise _singular(lam)
+    return _spectral_value(lam, criterion)
 
 
 def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
@@ -276,16 +282,11 @@ def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
     the smallest eigenvalue with uniform factors.
     """
     arr = _as_mu_array(mus)
-    M = np.asarray(M, dtype=float)
-    if criterion is Criterion.E and not is_invertible(M):
-        raise SingularInformationError("information matrix is singular")
-    c, v = _phi_terms(M, arr, criterion)
+    lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
+    if not _is_regular(lam):
+        raise _singular(lam)
+    c, v = _phi_terms(lam, V, arr, criterion)
     return c - v
-
-
-def directional_derivative(M, mu_x, criterion: Criterion) -> float:
-    """Scalar :func:`directional_derivatives` for a single candidate."""
-    return float(directional_derivatives(M, mu_x, criterion)[0])
 
 
 def optimality_gap(design: Design, design_mus, candidate_mus,

@@ -9,7 +9,9 @@ The iteration combines multiplicative updates (Titterington's rule for the
 D-criterion, the exponent-1/2 rule for A) with occasional monotone
 vertex-direction and vertex-exchange line searches that accelerate the
 endgame; the E-criterion uses entropic mirror ascent on the smallest
-eigenvalue. No external convex solver is involved.
+eigenvalue. No external convex solver is involved. Each iterate's M is
+decomposed once; its tracked objective (log-D for D), singularity test and phi
+come from that ``eigh`` through the spectral core of :mod:`oed.designs`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from scipy.optimize import minimize_scalar
 
 from .designs import (
     Criterion,
-    SINGULAR_RTOL,
     _as_mu_array,
+    _is_regular,
     _phi_terms,
+    _spectral_value,
+    _weighted_sum,
     criterion_value,
     is_invertible,
 )
@@ -45,21 +49,14 @@ class WeightSolution:
     converged: bool
 
 
-def _phi_and_value(w, arr, criterion):
-    """M, objective, phi = c - v and v for the weights; None if M is singular."""
-    M = np.einsum("i,iab->ab", w, arr)
-    M = 0.5 * (M + M.T)
-    eig = np.linalg.eigvalsh(M)
-    if not (eig[-1] > 0 and eig[0] > SINGULAR_RTOL * eig[-1]):
+def _phi_and_value(M, arr, criterion):
+    """Tracked objective, phi = c - v and v at M; None if M is singular."""
+    lam, V = np.linalg.eigh(M)
+    if not _is_regular(lam):
         return None
-    c, v = _phi_terms(M, arr, criterion)
-    if criterion is Criterion.A:
-        value = float(np.sum(1.0 / eig))
-    elif criterion is Criterion.E:
-        value = float(1.0 / c)
-    else:
-        value = float(-np.sum(np.log(eig)))  # track log-D internally
-    return M, value, c - v, v
+    c, v = _phi_terms(lam, V, arr, criterion)
+    tracked = Criterion.LOGD if criterion is Criterion.D else criterion
+    return _spectral_value(lam, tracked), c - v, v
 
 
 def _segment_value(M0, M1, delta, criterion):
@@ -73,29 +70,28 @@ def _segment_value(M0, M1, delta, criterion):
 def _line_search(M0, M1, hi, criterion):
     """Best step in [0, hi] along the matrix segment, by bounded 1-D search."""
     if hi <= 0:
-        return 0.0, _segment_value(M0, M1, 0.0, criterion)
+        return 0.0
     res = minimize_scalar(
         lambda t: _segment_value(M0, M1, t, criterion),
         bounds=(0.0, hi), method="bounded",
         options={"xatol": 1e-12},
     )
-    f0 = _segment_value(M0, M1, 0.0, criterion)
-    if res.fun < f0:
-        return float(res.x), float(res.fun)
-    return 0.0, f0
+    if res.fun < _segment_value(M0, M1, 0.0, criterion):
+        return float(res.x)
+    return 0.0
 
 
 def _accelerate(w, arr, phi, criterion):
     """Monotone vertex-direction and vertex-exchange steps (in place)."""
-    M = np.einsum("i,iab->ab", w, arr)
+    M = _weighted_sum(w, arr)
     # Vertex direction: blend mass toward the most negative phi candidate.
     j = int(np.argmin(phi))
     if phi[j] < 0:
-        delta, _ = _line_search(M, arr[j], 0.999, criterion)
+        delta = _line_search(M, arr[j], 0.999, criterion)
         if delta > 0:
             w *= 1.0 - delta
             w[j] += delta
-            M = np.einsum("i,iab->ab", w, arr)
+            M = _weighted_sum(w, arr)
     # Vertex exchange: move mass from the worst support point to the best
     # candidate. M(t) = M + t*(mu_minus - mu_plus) = (1-t)*M + t*(M + mu_- - mu_+).
     support = np.flatnonzero(w > TRUNCATE_EPS)
@@ -104,7 +100,7 @@ def _accelerate(w, arr, phi, criterion):
         jm = int(np.argmin(phi))
         if jm != jp:
             target = M + arr[jm] - arr[jp]
-            delta, _ = _line_search(M, target, float(w[jp]), criterion)
+            delta = _line_search(M, target, float(w[jp]), criterion)
             if delta > 0:
                 w[jp] -= delta
                 w[jm] += delta
@@ -124,24 +120,24 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
     """
     arr = _as_mu_array(mus)
     n, d = arr.shape[0], arr.shape[1]
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol!r}")
 
     # Uniform weights realize the maximal possible range of M; if that matrix
     # is singular then every simplex combination is singular too.
     uniform = np.full(n, 1.0 / n)
-    if not is_invertible(np.einsum("i,iab->ab", uniform, arr)):
+    if not is_invertible(_weighted_sum(uniform, arr)):
         raise SingularInformationError(
             "no simplex combination of the candidates is invertible"
         )
 
     if warm_start is not None:
         w = np.asarray(warm_start, dtype=float).copy()
-        if w.shape != (n,) or w.min() < 0 or w.sum() <= 0:
-            raise InvalidInputError("warm_start must be a nonnegative n-vector")
+        if w.shape != (n,) or not (np.all(w >= 0) and 0 < w.sum() < np.inf):
+            raise InvalidInputError("warm_start must be a finite nonnegative n-vector")
         w = np.maximum(w, 1e-16)
         w /= w.sum()
-        if not is_invertible(np.einsum("i,iab->ab", w, arr)):
+        if not is_invertible(_weighted_sum(w, arr)):
             w = uniform.copy()
     else:
         w = uniform.copy()
@@ -151,11 +147,11 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
     best_residual = -np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        state = _phi_and_value(w, arr, criterion)
+        state = _phi_and_value(_weighted_sum(w, arr), arr, criterion)
         if state is None:  # blend drifted singular; restart from uniform
             w = uniform.copy()
             continue
-        _, value, phi, v = state
+        value, phi, v = state
         residual = float(phi.min())
         if value < best_value:
             best_value, best_w, best_residual = value, w.copy(), residual
@@ -167,10 +163,9 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
         elif criterion is Criterion.A:
             w = w * np.sqrt(np.maximum(v, 0.0))
         else:  # E: entropic mirror ascent on lambda_min with decaying step
-            g = v
-            scale = max(float(np.max(np.abs(g))), 1e-300)
+            scale = max(float(np.max(np.abs(v))), 1e-300)
             eta = 2.0 / (scale * np.sqrt(iterations))
-            w = w * np.exp(eta * (g - g.max()))
+            w = w * np.exp(eta * (v - v.max()))
         s = w.sum()
         if not np.isfinite(s) or s <= 0:
             w = uniform.copy()
@@ -186,7 +181,8 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
             best=best,
         )
 
-    if criterion is Criterion.E and best_value < _phi_and_value(w, arr, criterion)[1]:
+    # E's mirror ascent is not monotone: return the best iterate seen.
+    if criterion is Criterion.E and best_value < value:
         w = best_w
     return _finalize(w, arr, criterion, iterations, converged=True)
 
@@ -194,9 +190,9 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
 def _finalize(w, arr, criterion, iterations, converged):
     w = np.where(w < TRUNCATE_EPS, 0.0, w)
     w /= w.sum()
-    M = np.einsum("i,iab->ab", w, arr)
-    state = _phi_and_value(w, arr, criterion)
-    residual = float(state[2].min()) if state is not None else -np.inf
+    M = _weighted_sum(w, arr)
+    state = _phi_and_value(M, arr, criterion)
+    residual = float(state[1].min()) if state is not None else -np.inf
     return WeightSolution(
         weights=w,
         objective=criterion_value(M, criterion),

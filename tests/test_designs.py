@@ -9,14 +9,15 @@ from oed.designs import (
     Design,
     SigmaEps,
     criterion_value,
-    directional_derivative,
     directional_derivatives,
     fisher_at_point,
     fisher_at_points,
     information_matrix,
+    is_invertible,
     optimality_gap,
 )
 from oed.exceptions import InvalidInputError, SingularInformationError
+from oed.weights import optimize_weights
 
 
 def quad_mu(x):
@@ -133,14 +134,15 @@ class TestCriterionValue:
 class TestDirectionalDerivative:
     def test_single_point_design_at_own_support_is_zero(self):
         mu = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert directional_derivative(mu, mu, Criterion.D) == pytest.approx(0.0, abs=1e-12)
+        assert directional_derivatives(mu, mu, Criterion.D)[0] == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_a_criterion_identity(self):
-        assert directional_derivative(np.eye(2), np.eye(2), Criterion.A) == \
+        assert directional_derivatives(np.eye(2), np.eye(2), Criterion.A)[0] == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_d_criterion_value(self):
-        phi = directional_derivative(np.eye(2), np.diag([3.0, 0.0]), Criterion.D)
+        phi = directional_derivatives(np.eye(2), np.diag([3.0, 0.0]), Criterion.D)[0]
         assert phi == pytest.approx(-1.0)
 
     def test_log_d_uses_same_formula_as_d(self):
@@ -148,14 +150,14 @@ class TestDirectionalDerivative:
         A = rng.normal(size=(3, 3))
         M = A @ A.T + np.eye(3)
         mu = quad_mu(0.3)
-        assert directional_derivative(M, mu, Criterion.D) == \
-            pytest.approx(directional_derivative(M, mu, Criterion.LOGD))
+        assert directional_derivatives(M, mu, Criterion.D)[0] == \
+            pytest.approx(directional_derivatives(M, mu, Criterion.LOGD)[0])
 
     def test_e_criterion_multiplicity_split(self):
         # lambda_min = 1 has multiplicity 2; uniform factors over the eigenspace.
         M = np.diag([1.0, 1.0, 5.0])
         mu = np.diag([2.0, 0.0, 0.0])
-        phi = directional_derivative(M, mu, Criterion.E)
+        phi = directional_derivatives(M, mu, Criterion.E)[0]
         assert phi == pytest.approx(1.0 - 0.5 * 2.0)
 
     def test_phi_d_bounded_by_d_theta(self):
@@ -164,7 +166,7 @@ class TestDirectionalDerivative:
             A = rng.normal(size=(4, 4))
             M = A @ A.T + 0.5 * np.eye(4)
             J = rng.normal(size=(4, 2))
-            phi = directional_derivative(M, J @ J.T, Criterion.D)
+            phi = directional_derivatives(M, J @ J.T, Criterion.D)[0]
             assert phi <= 4.0 + 1e-12
 
     def test_weighted_average_of_phi_d_is_zero(self):
@@ -186,13 +188,13 @@ class TestDirectionalDerivative:
             J = rng.normal(size=(3, 2))
             mu = J @ J.T
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            before = directional_derivative(M, mu, crit)
-            after = directional_derivative(Q @ M @ Q.T, Q @ mu @ Q.T, crit)
+            before = directional_derivatives(M, mu, crit)[0]
+            after = directional_derivatives(Q @ M @ Q.T, Q @ mu @ Q.T, crit)[0]
             assert after == pytest.approx(before, abs=1e-9)
 
     def test_singular_information_raises(self):
         with pytest.raises(SingularInformationError):
-            directional_derivative(np.diag([1.0, 0.0]), np.eye(2), Criterion.D)
+            directional_derivatives(np.diag([1.0, 0.0]), np.eye(2), Criterion.D)
 
 
 class TestOptimalityGap:
@@ -270,6 +272,14 @@ class TestSigmaEps:
         sig = SigmaEps.from_covariance(cov)
         assert np.allclose(sig.precision @ cov, np.eye(2), atol=1e-12)
 
+    def test_from_covariance_rejects_bad_covariance_by_name(self):
+        # The last one is singular, yet rounding leaves its eigenvalues positive.
+        for cov in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                    [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.2], [0.0, 1.0]],
+                    [[10.0, -5.0, -4.0], [-5.0, 5.0, 1.0], [-4.0, 1.0, 2.0]]):
+            with pytest.raises(InvalidInputError, match="covariance"):
+                SigmaEps.from_covariance(cov)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
             SigmaEps(np.array([[1.0, 0.2], [0.0, 1.0]]))
@@ -277,3 +287,21 @@ class TestSigmaEps:
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidInputError):
             SigmaEps(np.diag([1.0, -1.0]))
+
+
+def test_singularity_boundary_is_one_rule():
+    # lambda_min / lambda_max just above and just below SINGULAR_RTOL: every
+    # entry point that tests for singularity must give the same answer.
+    for small, regular in ((2e-12, True), (5e-13, False)):
+        M = np.diag([1.0, small])
+        assert is_invertible(M) is regular
+        checks = [lambda c=c: criterion_value(M, c)
+                  for c in (Criterion.A, Criterion.D, Criterion.LOGD)]
+        checks += [lambda c=c: directional_derivatives(M, M, c) for c in Criterion]
+        checks += [lambda c=c: optimize_weights([M], c) for c in Criterion]
+        for check in checks:
+            if regular:
+                check()
+            else:
+                with pytest.raises(SingularInformationError):
+                    check()

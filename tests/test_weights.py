@@ -3,6 +3,7 @@ import pytest
 
 from oed.designs import (
     Criterion,
+    criterion_value,
     directional_derivatives,
     fisher_at_points,
     information_matrix,
@@ -136,6 +137,20 @@ def test_nonpositive_tol_rejected():
         optimize_weights([np.eye(2)], Criterion.D, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tol_rejected(tol):
+    with pytest.raises(InvalidInputError):
+        optimize_weights(quad_mus([-1.0, 0.0, 1.0]), Criterion.D, tol=tol,
+                         max_iterations=10)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_warm_start_rejected(bad):
+    with pytest.raises(InvalidInputError):
+        optimize_weights(quad_mus([-1.0, 0.0, 1.0]), Criterion.D,
+                         warm_start=[bad, 1.0, 1.0])
+
+
 def test_iteration_cap_raises_with_best_iterate():
     rng = np.random.default_rng(21)
     mus = random_mus(rng, n=40)
@@ -145,6 +160,17 @@ def test_iteration_cap_raises_with_best_iterate():
     assert best is not None
     assert not best.converged
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_capped_e_solve_returns_its_best_iterate():
+    # E's mirror ascent is not monotone, so the solver keeps the iterate with
+    # the smallest 1/lambda_min; twenty steps must already beat the uniform start.
+    rng = np.random.default_rng(3)
+    mus = random_mus(rng, n=12, d=3, d_y=2)
+    uniform = criterion_value(information_matrix(np.full(12, 1 / 12), mus), Criterion.E)
+    with pytest.raises(ConvergenceError) as err:
+        optimize_weights(mus, Criterion.E, max_iterations=20)
+    assert err.value.best.objective < uniform
 
 
 def test_e_criterion_objective_matches_sdp_oracle():
