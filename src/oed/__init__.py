@@ -17,8 +17,7 @@ from .algorithms import (
     run_vdm,
     run_ybt,
 )
-from .acquisition import AcquisitionSpec, SobolStream, acquisition_value, \
-    minimize_acquisition
+from .acquisition import SobolStream, acquisition_value, minimize_acquisition
 from .config import ProblemConfig, grid_from_levels, load_problem
 from .designs import (
     Criterion,
@@ -29,7 +28,6 @@ from .designs import (
     fisher_at_point,
     fisher_at_points,
     information_matrix,
-    optimality_gap,
 )
 from .exceptions import (
     ConfigError,

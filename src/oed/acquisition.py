@@ -3,13 +3,14 @@
 The acquisition value is ``tau * posterior_mean - posterior_variance`` with
 ``tau`` in {0, 1}: minimizing it at tau=1 balances predicted directional
 derivative against surrogate uncertainty, at tau=0 it reduces to pure
-variance maximization (approximation repair).
+variance maximization (approximation repair). :func:`minimize_acquisition`
+takes the surrogate, tau and its multistart points; ADA-GPR draws those
+from a :class:`SobolStream`, one unscrambled scipy engine per run.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -26,8 +27,8 @@ LOCAL_GTOL = 1e-8
 class SobolStream:
     """Deterministic stream over the standard Sobol sequence (zero point skipped).
 
-    ``index`` counts points already emitted; consecutive ``next`` calls
-    continue the sequence, so drawing 2 then 1 equals drawing 3 at once.
+    One unscrambled engine serves the whole stream, so consecutive ``next``
+    calls continue the sequence: drawing 2 then 1 equals drawing 3 at once.
     """
 
     def __init__(self, dim: int):
@@ -38,67 +39,46 @@ class SobolStream:
                 f"Sobol direction numbers available up to dimension "
                 f"{MAX_SOBOL_DIM}, requested {dim}"
             )
-        self.dim = dim
-        self.index = 0
+        self._engine = qmc.Sobol(dim, scramble=False)
+        self._engine.fast_forward(1)  # skips the all-zeros point
 
     def next(self, count: int) -> np.ndarray:
-        """Next ``count`` points, shape (count, dim), advancing the index."""
+        """Next ``count`` points, shape (count, dim)."""
         if count < 1:
             raise InvalidInputError(f"count must be >= 1, got {count}")
         with warnings.catch_warnings():
             # Drawing non-power-of-two batches trips a balance warning that
             # does not apply to this sequential use.
             warnings.simplefilter("ignore", UserWarning)
-            engine = qmc.Sobol(self.dim, scramble=False)
-            engine.fast_forward(1 + self.index)  # +1 skips the all-zeros point
-            points = engine.random(count)
-        self.index += count
-        return points
+            return self._engine.random(count)
 
 
-@dataclass(frozen=True)
-class AcquisitionSpec:
-    """Surrogate plus the exploration toggle; the domain is [0, 1]^d."""
-
-    gp: GPState
-    tau: float
-
-    def __post_init__(self):
-        if self.tau not in (0.0, 1.0, 0, 1):
-            raise InvalidInputError(f"tau must be 0 or 1, got {self.tau}")
-
-
-def acquisition_value(spec: AcquisitionSpec, x) -> tuple[float, np.ndarray]:
+def acquisition_value(gp: GPState, tau: float, x) -> tuple[float, np.ndarray]:
     """Value ``tau*mean - variance`` and its exact gradient at ``x``."""
-    mean, var, mean_grad, var_grad = spec.gp.posterior(x)
-    value = spec.tau * mean - var
-    grad = spec.tau * mean_grad - var_grad
+    mean, var, mean_grad, var_grad = gp.posterior(x)
+    value = tau * mean - var
+    grad = tau * mean_grad - var_grad
     return float(value), grad
 
 
-def minimize_acquisition(spec: AcquisitionSpec, stream: SobolStream,
-                         n_starts: int = 10) -> np.ndarray:
-    """Best local minimizer of the acquisition over [0,1]^d from Sobol starts.
+def minimize_acquisition(gp: GPState, tau: float, starts) -> np.ndarray:
+    """Best local minimizer of the acquisition over [0,1]^d from ``starts``.
 
-    Runs a bounded quasi-Newton (L-BFGS-B, analytic gradients) from
-    ``n_starts`` fresh stream points and returns the best point seen,
-    including the raw starts, clipped to the cube. Deterministic for a fixed
-    surrogate, tau and stream index.
+    Runs a bounded quasi-Newton (L-BFGS-B, analytic gradients) from each row
+    of ``starts`` and returns the best point seen, including the raw starts,
+    clipped to the cube. Deterministic for a fixed surrogate, tau and starts.
     """
-    if n_starts < 1:
-        raise InvalidInputError("n_starts must be >= 1")
-    dim = stream.dim
-    starts = stream.next(n_starts)
-    bounds = [(0.0, 1.0)] * dim
+    starts = np.atleast_2d(starts)
+    bounds = [(0.0, 1.0)] * starts.shape[1]
 
     best_x, best_f = None, np.inf
     any_local_ok = False
     for x0 in starts:
-        f0, _ = acquisition_value(spec, x0)
+        f0, _ = acquisition_value(gp, tau, x0)
         if np.isfinite(f0) and f0 < best_f:
             best_x, best_f = np.array(x0), f0
         try:
-            res = minimize(lambda z: acquisition_value(spec, z), x0, jac=True,
+            res = minimize(lambda z: acquisition_value(gp, tau, z), x0, jac=True,
                            method="L-BFGS-B", bounds=bounds,
                            options={"maxiter": LOCAL_MAXITER, "gtol": LOCAL_GTOL})
         except Exception:  # pragma: no cover - scipy failures degrade to starts

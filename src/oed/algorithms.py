@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist, squareform
 
-from .acquisition import AcquisitionSpec, SobolStream, minimize_acquisition
+from .acquisition import SobolStream, minimize_acquisition
 from .designs import (
     Criterion,
     Design,
@@ -95,9 +95,6 @@ class TimingBreakdown:
     hyperparameters: float = 0.0
     total: float = 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AlgoReport:
@@ -131,35 +128,33 @@ def next_tau(tau: float, phi_new: float) -> float:
     return 0.0 if tau == 1.0 else 1.0
 
 
-def progress_stop(objective_trace, n_cur: int) -> bool:
+def progress_stop(objective_trace) -> bool:
     """Stop heuristic: no stop for 50 iterations, then compare the current
-    objective against iteration ``max(ceil(0.6 n), n - 50)``."""
+    objective against iteration ``max(ceil(0.6 n), n - 50)``, where ``n`` is
+    the trace length."""
     trace = np.asarray(objective_trace, dtype=float)
-    if trace.shape[0] != n_cur:
-        raise InvalidInputError(f"trace length {trace.shape[0]} != n_cur {n_cur}")
+    n_cur = trace.shape[0]
     if n_cur <= PROGRESS_MIN_ITERATIONS:
         return False
     n_stop = max(math.ceil(0.6 * n_cur), n_cur - PROGRESS_WINDOW)
     return bool(abs(trace[n_cur - 1] - trace[n_stop - 1]) < PROGRESS_DELTA)
 
 
-def cluster_design(design: Design, radius: float = CLUSTER_RADIUS,
-                   box=None) -> Design:
-    """Merge support points closer than ``radius`` (transitive single linkage).
+def cluster_design(design: Design, box=None) -> Design:
+    """Merge support points closer than ``CLUSTER_RADIUS`` (transitive single
+    linkage).
 
     Weights below 0.001 are dropped first; each cluster becomes the plain mean
     of its members with the summed weight, and weights are renormalized.
     Distances are measured in unit-cube coordinates when ``box`` is given
     (the radius is specified on that scale).
     """
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
     pruned = design.pruned(PRUNE_WEIGHT)
     pts = pruned.points
     if pts.shape[0] == 1:
         return pruned
     coords = box.to_unit(pts) if box is not None else pts
-    adjacency = squareform(pdist(coords) < radius).astype(np.int8)
+    adjacency = squareform(pdist(coords) < CLUSTER_RADIUS).astype(np.int8)
     np.fill_diagonal(adjacency, 1)
     n_comp, labels = connected_components(adjacency, directed=False)
     centers = np.empty((n_comp, pts.shape[1]))
@@ -402,7 +397,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
     def propose(M, trace, keys, cand):
         nonlocal tau, alpha, iso, params
         n_iter = len(trace)
-        if progress_stop(trace, n_iter):
+        if progress_stop(trace):
             return "progress"
         U = np.array(keys)
         phi_vals = directional_derivatives(M, cand, cfg.criterion)
@@ -417,7 +412,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
         run.timings.hyperparameters += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        u_new = minimize_acquisition(AcquisitionSpec(gp, tau), stream, N_STARTS)
+        u_new = minimize_acquisition(gp, tau, stream.next(N_STARTS))
         run.timings.acquisition += time.perf_counter() - t0
 
         for _ in range(MAX_POINT_REJECTIONS):

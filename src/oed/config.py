@@ -123,8 +123,18 @@ class ProblemConfig:
 
     def normalized(self) -> dict:
         """Canonical JSON-ready dict; loading it back reproduces this config."""
+        out = self.echo()
+        if self.grid is not None:
+            out["grid"] = {"points": self.grid.tolist()}
+        return out
+
+    def echo(self) -> dict:
+        """:meth:`normalized` without the grid, as ``summary.json`` records it
+        (a grid can hold thousands of rows)."""
         out = {}
         for f in fields(self):
+            if f.name == "grid":
+                continue
             value = getattr(self, f.name)
             if isinstance(value, Criterion):
                 value = value.value
@@ -134,7 +144,7 @@ class ProblemConfig:
                 value = dict(value)
             if value is None or value == {}:
                 continue
-            out[f.name] = {"points": value} if f.name == "grid" else value
+            out[f.name] = value
         return out
 
 

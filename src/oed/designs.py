@@ -53,7 +53,8 @@ _CRITERION_TAGS = {"a": Criterion.A, "d": Criterion.D, "logd": Criterion.LOGD,
 
 
 def _checked_spd(matrix, name: str) -> np.ndarray:
-    """``matrix`` as a float array, checked square, finite, symmetric and PD."""
+    """``matrix`` as a float array, checked square, finite, symmetric and
+    positive definite by the singularity rule of :func:`_is_regular`."""
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name} must be square")
@@ -61,8 +62,9 @@ def _checked_spd(matrix, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be finite")
     if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
         raise InvalidInputError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(m).min() <= 0:
-        raise InvalidInputError(f"{name} must be positive definite")
+    if not _is_regular(np.linalg.eigvalsh(m)):
+        raise InvalidInputError(f"{name} must be positive definite and not "
+                                "numerically singular")
     return m
 
 
@@ -82,11 +84,7 @@ class SigmaEps:
 
     @classmethod
     def from_covariance(cls, cov) -> "SigmaEps":
-        cov = _checked_spd(cov, "covariance matrix")
-        try:
-            return cls(np.linalg.inv(cov))
-        except np.linalg.LinAlgError:
-            raise InvalidInputError("covariance matrix is singular") from None
+        return cls(np.linalg.inv(_checked_spd(cov, "covariance matrix")))
 
     @property
     def d_y(self) -> int:
@@ -200,12 +198,9 @@ def _weighted_sum(w, arr) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def information_matrix(design_or_weights, mus) -> np.ndarray:
+def information_matrix(weights, mus) -> np.ndarray:
     """Weighted sum ``M = sum_i w_i mu_i`` of per-point Fisher matrices."""
-    if isinstance(design_or_weights, Design):
-        w = design_or_weights.weights
-    else:
-        w = np.asarray(design_or_weights, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
     arr = _as_mu_array(mus)
     if arr.shape[0] != w.shape[0]:
         raise InvalidInputError(
@@ -287,21 +282,3 @@ def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
         raise _singular(lam)
     c, v = _phi_terms(lam, V, arr, criterion)
     return c - v
-
-
-def optimality_gap(design: Design, design_mus, candidate_mus,
-                   criterion: Criterion) -> tuple[float, int]:
-    """Minimum of phi over a candidate set and the argmin index.
-
-    ``design_mus`` are the Fisher matrices of the design's own points (used to
-    assemble M); ``candidate_mus`` is the audit set. Ties break to the lowest
-    index. The design is optimal within the candidate set iff the returned
-    minimum is nonnegative (up to tolerance).
-    """
-    cand = _as_mu_array(candidate_mus)
-    if cand.shape[0] == 0:
-        raise InvalidInputError("candidate set is empty")
-    M = information_matrix(design, design_mus)
-    phi = directional_derivatives(M, cand, criterion)
-    idx = int(np.argmin(phi))
-    return float(phi[idx]), idx

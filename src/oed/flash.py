@@ -10,7 +10,9 @@ extended-Antoine pure-component vapor pressures (output in Pa; design-space
 pressure is in bar, temperature is reported in degrees Celsius). The unknown
 model parameters are the four NRTL interaction parameters.
 One vectorized bisection on T in [250, 600] K solves every bubble point;
-the model's Jacobians are central differences of it over one batch.
+the model's Jacobians are central differences of it over one batch. A single
+bubble point is ``FlashModel(substances, nrtl).eval([x_m, P_bar])``, which
+returns ``(y_m_vap, T_celsius)``.
 """
 
 from __future__ import annotations
@@ -63,13 +65,12 @@ METHANOL_ACETONE_NRTL = NrtlParams(4.1052, -4.4461, -1264.515, 1582.698)
 
 
 def vapor_pressure(substance: SubstanceParams, T):
-    """Pure-component vapor pressure in Pa at temperature T [K]."""
+    """Pure-component vapor pressure in Pa at temperature T [K], as an array."""
     T = np.asarray(T, dtype=float)
     if np.any(T <= 0):
         raise InvalidInputError("temperature must be positive (Kelvin)")
-    value = np.exp(substance.A + substance.B / T + substance.C * np.log(T)
-                   + substance.D * T**substance.E)
-    return value if value.ndim else float(value)
+    return np.exp(substance.A + substance.B / T + substance.C * np.log(T)
+                  + substance.D * T**substance.E)
 
 
 def nrtl_gammas(x_m, T, params: NrtlParams):
@@ -77,7 +78,7 @@ def nrtl_gammas(x_m, T, params: NrtlParams):
 
     Standard binary NRTL with tau_ij = a_ij + b_ij/T and the fixed
     non-randomness factor 0.3; component 1 is methanol, component 2 the
-    partner substance.
+    partner substance. Returns two arrays of the broadcast shape.
     """
     x_m = np.asarray(x_m, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -94,10 +95,7 @@ def nrtl_gammas(x_m, T, params: NrtlParams):
     den_w = x_w + x_m * G12
     ln_gm = x_w**2 * (tau21 * (G21 / den_m) ** 2 + tau12 * G12 / den_w**2)
     ln_gw = x_m**2 * (tau12 * (G12 / den_w) ** 2 + tau21 * G21 / den_m**2)
-    gamma_m, gamma_w = np.exp(ln_gm), np.exp(ln_gw)
-    if gamma_m.ndim:
-        return gamma_m, gamma_w
-    return float(gamma_m), float(gamma_w)
+    return np.exp(ln_gm), np.exp(ln_gw)
 
 
 def _bubble_residual(T, x_m, P_pa, nrtl, substances):
@@ -111,19 +109,6 @@ def _vapor_fraction(T, x_m, P_pa, nrtl, substances):
     """Methanol vapor fraction at the bubble point T."""
     gamma_m, _ = nrtl_gammas(x_m, T, nrtl)
     return x_m * gamma_m * vapor_pressure(substances[0], T) / P_pa
-
-
-def flash_solve(x_m: float, P_bar: float, nrtl: NrtlParams,
-                substances=(METHANOL, WATER)) -> tuple[float, float]:
-    """Bubble-point solve: returns (y_m_vap, T_celsius) for feed x_m at P [bar]."""
-    if not 0.0 <= x_m <= 1.0:
-        raise InvalidInputError(f"x_m must lie in [0, 1], got {x_m}")
-    if not 0.5 <= P_bar <= 5.0:
-        raise InvalidInputError(f"P must lie in [0.5, 5] bar, got {P_bar}")
-    y_m, T_c = _bubble_point_batch(np.array([x_m], dtype=float),
-                                   np.array([P_bar * PA_PER_BAR]), nrtl,
-                                   substances)
-    return float(y_m[0]), float(T_c[0])
 
 
 def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):

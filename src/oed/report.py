@@ -9,6 +9,7 @@ Numeric formatting is fixed so identical runs emit byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def emit_report(report: AlgoReport, out_dir, coord_names=None,
             "jacobian_evaluations": report.jacobian_evals,
             "termination": report.termination,
             "n_support": int(design.n_points),
-            "timings": report.timings.as_dict(),
+            "timings": asdict(report.timings),
             "warnings": list(report.warnings),
         }
         if config_echo is not None:

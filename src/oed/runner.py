@@ -26,8 +26,6 @@ def run_and_emit(config: ProblemConfig, out_dir):
     """Run the problem and write its report files; returns (report, paths)."""
     model = config.build_model()
     report = _run(config, model)
-    echo = config.normalized()
-    echo.pop("grid", None)  # no need to replay thousands of grid rows
     paths = emit_report(report, out_dir, coord_names=model.coord_names,
-                        config_echo=echo)
+                        config_echo=config.echo())
     return report, paths

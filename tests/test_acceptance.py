@@ -16,7 +16,7 @@ from oed import (
     run_vdm,
     run_ybt,
 )
-from oed.acquisition import AcquisitionSpec, acquisition_value
+from oed.acquisition import acquisition_value
 from oed.bench import flash_grid, quadratic_grid, run_suite, yeast_grid
 from oed.designs import (
     directional_derivatives,
@@ -25,8 +25,6 @@ from oed.designs import (
 )
 from oed.flash import (
     METHANOL,
-    METHANOL_WATER_NRTL,
-    flash_solve,
     methanol_acetone_flash,
     methanol_water_flash,
     vapor_pressure,
@@ -256,16 +254,16 @@ def test_criterion_7_gpr_correctness():
         if x0 is None:
             continue
         checked += 1
-        spec = AcquisitionSpec(gp, float(rng.integers(0, 2)))
+        tau = float(rng.integers(0, 2))
         _, _, mean_grad, var_grad = gp.posterior(x0)
-        _, acq_grad = acquisition_value(spec, x0)
+        _, acq_grad = acquisition_value(gp, tau, x0)
         for k in range(d):
             e = np.zeros(d)
             e[k] = h
             mp, vp, _, _ = gp.posterior(x0 + e)
             mm, vm, _, _ = gp.posterior(x0 - e)
-            ap, _ = acquisition_value(spec, x0 + e)
-            am, _ = acquisition_value(spec, x0 - e)
+            ap, _ = acquisition_value(gp, tau, x0 + e)
+            am, _ = acquisition_value(gp, tau, x0 - e)
             for analytic, fd in ((mean_grad[k], (mp - mm) / (2 * h)),
                                  (var_grad[k], (vp - vm) / (2 * h)),
                                  (acq_grad[k], (ap - am) / (2 * h))):
@@ -281,11 +279,12 @@ def test_criterion_7_gpr_correctness():
 def test_criterion_8_sub_model_oracles():
     # Flash: bubble points against an independent root solve of the
     # pure-component vapor-pressure curve.
-    _, t_water = flash_solve(0.0, 1.01325, METHANOL_WATER_NRTL)
+    flash = methanol_water_flash()
+    _, t_water = flash.eval([0.0, 1.01325])
     water_ok = abs(t_water - 100.0) <= 0.5
     t_methanol_oracle = brentq(lambda T: vapor_pressure(METHANOL, T) - ATM_PA,
                                250.0, 600.0) - 273.15
-    _, t_methanol = flash_solve(1.0, 1.01325, METHANOL_WATER_NRTL)
+    _, t_methanol = flash.eval([1.0, 1.01325])
     methanol_ok = abs(t_methanol - t_methanol_oracle) <= 1.0
 
     # Yeast: decoupled exponential decay and RK4 step-halving drift.

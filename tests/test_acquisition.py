@@ -1,12 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
-from oed.acquisition import (
-    AcquisitionSpec,
-    SobolStream,
-    acquisition_value,
-    minimize_acquisition,
-)
+from oed.acquisition import SobolStream, acquisition_value, minimize_acquisition
 from oed.exceptions import InvalidInputError, UnsupportedDimensionError
 from oed.gp import KernelParams, fit
 
@@ -30,10 +28,20 @@ class TestSobolStream:
         b = SobolStream(3).next(3)
         assert np.array_equal(a, b)
 
-    def test_index_advances(self):
-        stream = SobolStream(2)
-        stream.next(5)
-        assert stream.index == 5
+    @pytest.mark.parametrize("dim", [1, 2, 11])
+    def test_one_engine_reproduces_the_stream(self, dim):
+        # 400 draws of 1-11 points continue one engine: together they equal
+        # one long draw from a fresh stream, and the unscrambled sequence
+        # from its second point.
+        counts = np.random.default_rng(dim).integers(1, 12, size=400)
+        stream = SobolStream(dim)
+        chunks = np.vstack([stream.next(int(c)) for c in counts])
+        total = int(counts.sum())
+        assert np.array_equal(chunks, SobolStream(dim).next(total))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # balance warning
+            reference = qmc.Sobol(dim, scramble=False).random(total + 1)[1:]
+        assert np.array_equal(chunks, reference)
 
     def test_points_inside_unit_cube(self):
         pts = SobolStream(4).next(100)
@@ -52,15 +60,13 @@ class TestSobolStream:
 
 class TestAcquisitionValue:
     def test_tau_zero_is_negative_variance(self, gp_two_points):
-        spec = AcquisitionSpec(gp_two_points, 0.0)
         x = np.array([0.4])
-        value, _ = acquisition_value(spec, x)
+        value, _ = acquisition_value(gp_two_points, 0.0, x)
         _, var, _, _ = gp_two_points.posterior(x)
         assert value == pytest.approx(-var)
 
     def test_tau_one_at_training_point_equals_target(self, gp_two_points):
-        spec = AcquisitionSpec(gp_two_points, 1.0)
-        value, _ = acquisition_value(spec, np.array([0.2]))
+        value, _ = acquisition_value(gp_two_points, 1.0, np.array([0.2]))
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
@@ -70,28 +76,22 @@ class TestAcquisitionValue:
         y = rng.normal(size=10)
         gp = fit(X, y, KernelParams(1.2, 0.35, 1e-8))
         for tau in (0.0, 1.0):
-            spec = AcquisitionSpec(gp, tau)
             for _ in range(10):
                 x0 = rng.uniform(0.1, 0.9, size=2)
-                _, grad = acquisition_value(spec, x0)
+                _, grad = acquisition_value(gp, tau, x0)
                 for k in range(2):
                     e = np.zeros(2)
                     e[k] = h
-                    fp, _ = acquisition_value(spec, x0 + e)
-                    fm, _ = acquisition_value(spec, x0 - e)
+                    fp, _ = acquisition_value(gp, tau, x0 + e)
+                    fm, _ = acquisition_value(gp, tau, x0 - e)
                     fd = (fp - fm) / (2 * h)
                     assert abs(grad[k] - fd) / max(abs(fd), abs(grad[k]), 1e-8) < 1e-5
-
-    def test_tau_validated(self, gp_two_points):
-        with pytest.raises(InvalidInputError):
-            AcquisitionSpec(gp_two_points, 0.5)
 
 
 class TestMinimizeAcquisition:
     def test_variance_mode_matches_grid_oracle(self, gp_two_points):
-        spec = AcquisitionSpec(gp_two_points, 0.0)
-        best = minimize_acquisition(spec, SobolStream(1), n_starts=10)
-        value, _ = acquisition_value(spec, best)
+        best = minimize_acquisition(gp_two_points, 0.0, SobolStream(1).next(10))
+        value, _ = acquisition_value(gp_two_points, 0.0, best)
         grid = np.linspace(0.0, 1.0, 10_001)[:, None]
         _, variances = gp_two_points.predict(grid)
         assert value <= -(variances.max()) + 1e-4
@@ -101,38 +101,34 @@ class TestMinimizeAcquisition:
         gp = fit(rng.uniform(size=(12, 3)), rng.normal(size=12),
                  KernelParams(1.0, 0.5, 1e-6))
         for tau in (0.0, 1.0):
-            best = minimize_acquisition(AcquisitionSpec(gp, tau), SobolStream(3), 5)
+            best = minimize_acquisition(gp, tau, SobolStream(3).next(5))
             assert best.min() >= 0.0 and best.max() <= 1.0
 
     def test_single_start_at_local_minimum_stays(self, gp_two_points):
-        spec = AcquisitionSpec(gp_two_points, 0.0)
         # x=0.5 is the variance maximizer between two symmetric training points.
         stream = SobolStream(1)  # first Sobol point is exactly 0.5
-        best = minimize_acquisition(spec, stream, n_starts=1)
+        best = minimize_acquisition(gp_two_points, 0.0, stream.next(1))
         assert best[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_deterministic_for_same_stream_index(self, gp_two_points):
-        spec = AcquisitionSpec(gp_two_points, 1.0)
-        a = minimize_acquisition(spec, SobolStream(1), 10)
-        b = minimize_acquisition(spec, SobolStream(1), 10)
+        a = minimize_acquisition(gp_two_points, 1.0, SobolStream(1).next(10))
+        b = minimize_acquisition(gp_two_points, 1.0, SobolStream(1).next(10))
         assert np.array_equal(a, b)
 
     def test_never_worse_than_any_start(self):
         rng = np.random.default_rng(27)
         gp = fit(rng.uniform(size=(15, 2)), rng.normal(size=15),
                  KernelParams(1.5, 0.3, 1e-8))
-        spec = AcquisitionSpec(gp, 1.0)
         probe = SobolStream(2)
         starts = probe.next(10)
-        best = minimize_acquisition(spec, SobolStream(2), 10)
-        best_value, _ = acquisition_value(spec, best)
+        best = minimize_acquisition(gp, 1.0, SobolStream(2).next(10))
+        best_value, _ = acquisition_value(gp, 1.0, best)
         for s in starts:
-            value, _ = acquisition_value(spec, s)
+            value, _ = acquisition_value(gp, 1.0, s)
             assert best_value <= value + 1e-12
 
     def test_variance_mode_beats_training_variance(self, gp_two_points):
-        spec = AcquisitionSpec(gp_two_points, 0.0)
-        best = minimize_acquisition(spec, SobolStream(1), 10)
+        best = minimize_acquisition(gp_two_points, 0.0, SobolStream(1).next(10))
         _, var_best, _, _ = gp_two_points.posterior(best)
         for xt in (0.2, 0.8):
             _, var_train, _, _ = gp_two_points.posterior(np.array([xt]))

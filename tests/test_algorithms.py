@@ -47,31 +47,27 @@ class TestNextTau:
 
 class TestProgressStop:
     def test_never_stops_in_first_50(self):
-        assert progress_stop(np.zeros(50), 50) is False
+        assert progress_stop(np.zeros(50)) is False
 
     def test_window_at_100(self):
         trace = np.zeros(100)
         trace[59] = 5.0  # iteration 60 = max(ceil(0.6*100), 100-50)
-        assert progress_stop(trace, 100) is False
+        assert progress_stop(trace) is False
         trace[59] = trace[99] + 0.0005
-        assert progress_stop(trace, 100) is True
+        assert progress_stop(trace) is True
 
     def test_window_at_200(self):
         trace = np.zeros(200)
         trace[149] = 1.0  # iteration 150 = max(120, 150)
-        assert progress_stop(trace, 200) is False
+        assert progress_stop(trace) is False
         trace[149] = 0.0
-        assert progress_stop(trace, 200) is True
-
-    def test_trace_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            progress_stop(np.zeros(10), 20)
+        assert progress_stop(trace) is True
 
 
 class TestClusterDesign:
     def test_two_member_merge(self):
         design = Design([[0.100], [0.105], [0.9]], [0.3, 0.2, 0.5])
-        merged = cluster_design(design, radius=0.01)
+        merged = cluster_design(design)
         assert merged.n_points == 2
         idx = int(np.argmin(np.abs(merged.points[:, 0] - 0.1025)))
         assert merged.points[idx, 0] == pytest.approx(0.1025)
@@ -79,13 +75,13 @@ class TestClusterDesign:
 
     def test_isolated_points_unchanged(self):
         design = Design([[0.0], [0.5], [1.0]], [0.2, 0.3, 0.5])
-        merged = cluster_design(design, radius=0.01)
+        merged = cluster_design(design)
         assert merged.n_points == 3
         assert np.allclose(np.sort(merged.points.ravel()), [0.0, 0.5, 1.0])
 
     def test_chain_merges_transitively(self):
         design = Design([[0.0], [0.009], [0.018], [0.9]], [0.2, 0.2, 0.2, 0.4])
-        merged = cluster_design(design, radius=0.01)
+        merged = cluster_design(design)
         assert merged.n_points == 2
         idx = int(np.argmin(merged.points[:, 0]))
         assert merged.points[idx, 0] == pytest.approx(0.009)
@@ -93,7 +89,7 @@ class TestClusterDesign:
 
     def test_prunes_tiny_weights_first(self):
         design = Design([[0.0], [0.5]], [0.9995, 0.0005])
-        merged = cluster_design(design, radius=0.01)
+        merged = cluster_design(design)
         assert merged.n_points == 1
         assert merged.weights[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -101,12 +97,12 @@ class TestClusterDesign:
         # 0.015 apart in raw units but 0.0075 in unit coordinates of [0, 2].
         box = Box([0.0], [2.0])
         design = Design([[1.0], [1.015]], [0.5, 0.5])
-        assert cluster_design(design, radius=0.01, box=box).n_points == 1
-        assert cluster_design(design, radius=0.01).n_points == 2
+        assert cluster_design(design, box=box).n_points == 1
+        assert cluster_design(design).n_points == 2
 
     def test_weights_renormalized(self):
         design = Design([[0.0], [0.3], [0.7]], [0.5, 0.4995, 0.0005])
-        merged = cluster_design(design, radius=0.01)
+        merged = cluster_design(design)
         assert merged.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -166,6 +166,23 @@ class TestLoadProblem:
         again = config_from_dict(cfg.normalized())
         assert again.normalized() == cfg.normalized()
 
+    def test_summary_echoes_every_key_but_the_grid(self, tmp_path):
+        payload = dict(QUADRATIC_YBT, epsilon=1e-4, max_iterations=500,
+                       n_initial=4, seed=3, sigma_eps=[[2.0]], out_dir="elsewhere",
+                       model_options={"theta_nominal": [1.0, 0.5, -2.0]})
+        cfg = load_problem(write_config(tmp_path, payload))
+        _, paths = run_and_emit(cfg, tmp_path / "out")
+        echo = json.loads(paths["summary"].read_text())["problem"]
+        expected = cfg.normalized()
+        del expected["grid"]
+        assert echo == expected
+        assert echo == {"model": "quadratic", "algorithm": "ybt",
+                        "criterion": "logD", "epsilon": 1e-4,
+                        "max_iterations": 500, "n_initial": 4, "seed": 3,
+                        "sigma_eps": [[2.0]], "out_dir": "elsewhere",
+                        "model_options": {"theta_nominal": [1.0, 0.5, -2.0]}}
+        assert cfg.grid.shape == (5, 1)
+
     def test_sigma_eps_accepted(self, tmp_path):
         payload = dict(MINIMAL_FLASH_ADAGPR,
                        sigma_eps=[[1e-4, 0.0], [0.0, 1.0]])
@@ -240,10 +257,12 @@ class TestCli:
     @pytest.mark.parametrize("sigma_eps, message", [
         ([[1.0, 0.0], [0.0, -1.0]], "positive definite"),
         ([[1.0, 0.0], [0.0, 1.0]], "sigma_eps must be 1x1"),
+        ([[1.0, 1.0], [1.0, 1.0 + 2.2e-16]], "covariance matrix must be positive definite"),
     ])
     def test_bad_sigma_eps_exits_2(self, tmp_path, capsys, sigma_eps, message):
-        # Not positive definite, or 2x2 for the single-output quadratic:
-        # both check and run refuse the file.
+        # Not positive definite (the last has eigenvalues 2 and 1.1e-16, so
+        # it is singular by the relative rule), or 2x2 for the single-output
+        # quadratic: both check and run refuse the file.
         path = write_config(tmp_path, dict(QUADRATIC_YBT, sigma_eps=sigma_eps))
         assert main(["check", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2

@@ -14,7 +14,6 @@ from oed.designs import (
     fisher_at_points,
     information_matrix,
     is_invertible,
-    optimality_gap,
 )
 from oed.exceptions import InvalidInputError, SingularInformationError
 from oed.weights import optimize_weights
@@ -88,7 +87,7 @@ class TestInformationMatrix:
     def test_accepts_design(self):
         design = Design([[0.0], [1.0]], [0.25, 0.75])
         mus = [np.eye(2), 2 * np.eye(2)]
-        assert np.allclose(information_matrix(design, mus), 1.75 * np.eye(2))
+        assert np.allclose(information_matrix(design.weights, mus), 1.75 * np.eye(2))
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -198,17 +197,22 @@ class TestDirectionalDerivative:
 
 
 class TestOptimalityGap:
+    """The gap of a design is min phi over a candidate set."""
+
     def test_zero_gap_on_optimal_support(self):
         pts = np.array([[-1.0], [0.0], [1.0]])
         mus = np.stack([quad_mu(x) for x in pts.ravel()])
         design = Design(pts, np.full(3, 1 / 3))
-        gap, idx = optimality_gap(design, mus, mus, Criterion.D)
+        M = information_matrix(design.weights, mus)
+        gap = directional_derivatives(M, mus, Criterion.D).min()
         assert gap == pytest.approx(0.0, abs=1e-9)
 
     def test_dominating_candidate_gives_negative_gap(self):
         mu = np.array([[2.0, 0.0], [0.0, 1.0]])
         design = Design([[0.0]], [1.0])
-        gap, idx = optimality_gap(design, [mu], [mu, 2 * mu], Criterion.D)
+        M = information_matrix(design.weights, [mu])
+        phi = directional_derivatives(M, [mu, 2 * mu], Criterion.D)
+        gap, idx = phi.min(), int(np.argmin(phi))
         assert gap < 0
         assert idx == 1
 
@@ -219,24 +223,14 @@ class TestOptimalityGap:
         design = Design([[-1.0], [0.0], [1.0]], np.full(3, 1 / 3))
         design_mus = np.stack([quad_mu(x) for x in (-1.0, 0.0, 1.0)])
         cand_mus = np.stack([quad_mu(x) for x in grid])
-        gap, _ = optimality_gap(design, design_mus, cand_mus, Criterion.D)
+        M = information_matrix(design.weights, design_mus)
+        gap = directional_derivatives(M, cand_mus, Criterion.D).min()
         assert gap >= -1e-6
 
         M = sum(design_mus) / 3
         Minv = np.linalg.inv(M)
         brute = min(3.0 - np.trace(Minv @ quad_mu(x)) for x in grid)
         assert gap == pytest.approx(brute, abs=1e-12)
-
-    def test_tie_breaks_to_lowest_index(self):
-        mu = np.eye(2)
-        design = Design([[0.0]], [1.0])
-        gap, idx = optimality_gap(design, [mu], [mu, mu], Criterion.D)
-        assert idx == 0
-
-    def test_empty_candidates_rejected(self):
-        design = Design([[0.0]], [1.0])
-        with pytest.raises(InvalidInputError):
-            optimality_gap(design, [np.eye(2)], np.empty((0, 2, 2)), Criterion.D)
 
 
 class TestDesignType:
@@ -273,10 +267,12 @@ class TestSigmaEps:
         assert np.allclose(sig.precision @ cov, np.eye(2), atol=1e-12)
 
     def test_from_covariance_rejects_bad_covariance_by_name(self):
-        # The last one is singular, yet rounding leaves its eigenvalues positive.
+        # The last two are singular, yet rounding leaves their eigenvalues
+        # positive: below SINGULAR_RTOL relative to the largest.
         for cov in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                     [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.2], [0.0, 1.0]],
-                    [[10.0, -5.0, -4.0], [-5.0, 5.0, 1.0], [-4.0, 1.0, 2.0]]):
+                    [[10.0, -5.0, -4.0], [-5.0, 5.0, 1.0], [-4.0, 1.0, 2.0]],
+                    [[1.0, 1.0], [1.0, 1.0 + 2.2e-16]]):
             with pytest.raises(InvalidInputError, match="covariance"):
                 SigmaEps.from_covariance(cov)
 
