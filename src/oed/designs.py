@@ -7,9 +7,9 @@ over designs, and the directional derivative ``phi`` whose sign certifies
 global optimality (Kiefer-Wolfowitz equivalence theorem): a design is optimal
 iff ``min_x phi(xi, x) >= 0``.
 
-Fisher matrices are plain symmetric ``(d_theta, d_theta)`` numpy arrays. The
-information-matrix math lives here once: the assembly of M, the singularity
-rule, the criterion values and phi, the last three from one decomposition of M.
+Fisher matrices are plain symmetric ``(d_theta, d_theta)`` numpy arrays. M is
+assembled here once; one ``eigh`` of it gives the singularity test, the
+criterion value and phi's ``(c, G)``, and phi over a stack is one GEMV.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class SigmaEps:
 
     @classmethod
     def from_covariance(cls, cov) -> "SigmaEps":
-        return cls(np.linalg.inv(_checked_spd(cov, "covariance matrix")))
+        P = np.linalg.inv(_checked_spd(cov, "covariance matrix"))
+        return cls(0.5 * (P + P.T))  # inv rounds asymmetrically when ill-conditioned
 
     @property
     def d_y(self) -> int:
@@ -241,18 +242,19 @@ def _spectral_value(lam, criterion: Criterion) -> float:
     raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
-def _phi_terms(lam, V, arr, criterion: Criterion):
-    """``(c, v)`` with ``phi = c - v`` for M = V diag(lam) V^T, M regular."""
+def _phi_terms(lam, V, criterion: Criterion):
+    """``(c, G)``: ``phi(mu) = c - <G, mu>`` at M = V diag(lam) V^T, M regular,
+    so phi over a stack is one contraction, ``arr.reshape(n, -1) @ G.ravel()``."""
     if criterion in (Criterion.D, Criterion.LOGD, Criterion.A):
         Minv = (V / lam) @ V.T
         if criterion is Criterion.A:
-            return float(np.trace(Minv)), np.einsum("ab,iba->i", Minv @ Minv, arr)
-        return lam.shape[0], np.einsum("ab,iba->i", Minv, arr)
+            return float(np.trace(Minv)), Minv @ Minv
+        return lam.shape[0], Minv
     if criterion is Criterion.E:
         scale = max(abs(lam[-1]), 1e-300)
         mult = int(np.sum((lam - lam[0]) / scale < EIG_MULTIPLICITY_RTOL))
         P = V[:, :mult]
-        return lam[0], np.einsum("dm,idk,km->i", P, arr, P) / mult
+        return lam[0], (P @ P.T) / mult
     raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
@@ -280,5 +282,5 @@ def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
     lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
     if not _is_regular(lam):
         raise _singular(lam)
-    c, v = _phi_terms(lam, V, arr, criterion)
-    return c - v
+    c, G = _phi_terms(lam, V, criterion)
+    return c - arr.reshape(arr.shape[0], -1) @ G.ravel()

@@ -2,17 +2,20 @@
 
 The design table lists the clustered support (original units, one row per
 point); the summary reports the objective as log10(det M) for the D family,
-matching the usual table convention, alongside the raw criterion value.
-Numeric formatting is fixed so identical runs emit byte-identical files.
+matching the usual table convention, alongside the raw criterion value and
+the environment; fixed number formats make identical runs write identical CSVs.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .algorithms import AlgoReport
 from .designs import Criterion
@@ -29,6 +32,18 @@ def summary_objective(report: AlgoReport) -> float:
             raise InvalidInputError("information matrix has non-positive determinant")
         return float(logdet / np.log(10.0))
     return float(report.objective)
+
+
+def _environment() -> dict:
+    """Python, numpy and scipy versions, their BLAS builds and the BLAS thread
+    variables (None when unset): the last bits of a result depend on them."""
+    env = {"python": platform.python_version()}
+    for lib in (np, scipy):
+        blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env[lib.__name__] = {"version": lib.__version__, "blas": blas["name"],
+                             "blas_version": blas["version"]}
+    return env | {var: os.environ.get(var)
+                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
 
 def emit_report(report: AlgoReport, out_dir, coord_names=None,
@@ -69,6 +84,7 @@ def emit_report(report: AlgoReport, out_dir, coord_names=None,
             "n_support": int(design.n_points),
             "timings": asdict(report.timings),
             "warnings": list(report.warnings),
+            "environment": _environment(),
         }
         if config_echo is not None:
             summary["problem"] = config_echo

@@ -10,8 +10,9 @@ D-criterion, the exponent-1/2 rule for A) with occasional monotone
 vertex-direction and vertex-exchange line searches that accelerate the
 endgame; the E-criterion uses entropic mirror ascent on the smallest
 eigenvalue. No external convex solver is involved. Each iterate's M is
-decomposed once; its tracked objective (log-D for D), singularity test and phi
-come from that ``eigh`` through the spectral core of :mod:`oed.designs`.
+decomposed once; its tracked objective (log-D for D), singularity test and
+phi (one GEMV with the core's ``G``) come from that ``eigh`` through the
+spectral core of :mod:`oed.designs`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def _phi_and_value(M, arr, criterion):
     lam, V = np.linalg.eigh(M)
     if not _is_regular(lam):
         return None
-    c, v = _phi_terms(lam, V, arr, criterion)
+    c, G = _phi_terms(lam, V, criterion)
+    v = arr.reshape(arr.shape[0], -1) @ G.ravel()
     tracked = Criterion.LOGD if criterion is Criterion.D else criterion
     return _spectral_value(lam, tracked), c - v, v
 

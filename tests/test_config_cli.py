@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from oed.algorithms import AlgoConfig, AlgoReport, TimingBreakdown
 from oed.cli import main
@@ -212,13 +214,25 @@ class TestEmitReport:
     def test_log10_det_objective(self):
         assert summary_objective(_dummy_report()) == pytest.approx(2.0)
 
-    def test_files_and_timing_keys(self, tmp_path):
+    def test_files_and_timing_keys(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         paths = emit_report(_dummy_report(), tmp_path / "out",
                             coord_names=["x_m", "P_bar"])
         summary = json.loads(paths["summary"].read_text())
         assert set(summary["timings"]) == {"jacobian", "weights", "acquisition",
                                            "hyperparameters", "total"}
         assert summary["jacobian_evaluations"] == 12
+        env = summary["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "OPENBLAS_NUM_THREADS",
+                            "OMP_NUM_THREADS"}
+        assert env["python"] == platform.python_version()
+        for lib in (np, scipy):
+            assert env[lib.__name__]["version"] == lib.__version__
+            assert set(env[lib.__name__]) == {"version", "blas", "blas_version"}
+            assert all(isinstance(v, str) for v in env[lib.__name__].values())
+        assert env["OPENBLAS_NUM_THREADS"] == "2"
+        assert env["OMP_NUM_THREADS"] is None
         header = paths["design"].read_text().splitlines()[0]
         assert header == "x_m,P_bar,weight"
         trace_lines = paths["trace"].read_text().splitlines()

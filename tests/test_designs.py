@@ -195,6 +195,35 @@ class TestDirectionalDerivative:
         with pytest.raises(SingularInformationError):
             directional_derivatives(np.diag([1.0, 0.0]), np.eye(2), Criterion.D)
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_stack_matches_per_point_loop(self, p):
+        # A generic M (simple lambda_min) and one whose lambda_min = 1 is
+        # double with the known eigenspace Q[:, :2], so E splits over mult = 2.
+        rng = np.random.default_rng(p)
+        mus = fisher_at_points(rng.normal(size=(50, p, 2)))
+        A = rng.normal(size=(p, p))
+        Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        double = Q @ np.diag([1.0, 1.0, *rng.uniform(2.0, 5.0, p - 2)]) @ Q.T
+        cases = ((A @ A.T + np.eye(p), None), (0.5 * (double + double.T), Q[:, :2]))
+        for M, P in cases:
+            Minv = np.linalg.inv(M)
+            if P is None:
+                P = np.linalg.eigh(M)[1][:, :1]
+            lam_min = np.linalg.eigvalsh(M)[0]
+            reference = {
+                Criterion.D: [p - np.trace(Minv @ mu) for mu in mus],
+                Criterion.LOGD: [p - np.trace(Minv @ mu) for mu in mus],
+                Criterion.A: [np.trace(Minv) - np.trace(Minv @ Minv @ mu)
+                              for mu in mus],
+                Criterion.E: [lam_min - np.trace(P.T @ mu @ P) / P.shape[1]
+                              for mu in mus],
+            }
+            for crit, ref in reference.items():
+                ref = np.array(ref)
+                np.testing.assert_allclose(
+                    directional_derivatives(M, mus, crit), ref, rtol=1e-12,
+                    atol=1e-12 * np.abs(ref).max())
+
 
 class TestOptimalityGap:
     """The gap of a design is min phi over a candidate set."""
@@ -275,6 +304,18 @@ class TestSigmaEps:
                     [[1.0, 1.0], [1.0, 1.0 + 2.2e-16]]):
             with pytest.raises(InvalidInputError, match="covariance"):
                 SigmaEps.from_covariance(cov)
+
+    def test_from_covariance_accepts_ill_conditioned_covariances(self):
+        # Condition number 1e11, inside the singularity rule: inv() of such a
+        # matrix can be asymmetric beyond the precision's symmetry check.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            cov = Q @ np.diag([1.0, 1e11 ** -0.5, 1e-11]) @ Q.T
+            cov = 0.5 * (cov + cov.T)
+            precision = SigmaEps.from_covariance(cov).precision
+            assert np.array_equal(precision, precision.T)
+            assert np.allclose(precision @ cov, np.eye(3), atol=1e-4)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):

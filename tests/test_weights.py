@@ -111,6 +111,17 @@ def test_e_criterion_symmetric_pair():
     assert sol.objective == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_kkt_residual_is_min_phi_at_the_returned_weights(criterion):
+    # The solver and directional_derivatives run the one phi contraction.
+    rng = np.random.default_rng(8)
+    mus = (random_mus(rng, n=30) if criterion is not Criterion.E
+           else np.stack([np.diag([1.0, 0.2]), np.diag([0.2, 1.0]), np.eye(2)]))
+    sol = optimize_weights(mus, criterion)
+    M = information_matrix(sol.weights, mus)
+    assert sol.kkt_residual == directional_derivatives(M, mus, criterion).min()
+
+
 def test_e_criterion_single_candidate():
     sol = optimize_weights([np.diag([2.0, 1.0])], Criterion.E)
     assert sol.weights == pytest.approx([1.0])
