@@ -76,8 +76,10 @@ class AlgoConfig:
     sigma_eps: SigmaEps | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidInputError("epsilon must be positive")
+        if self.rng_seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
 
@@ -171,8 +173,10 @@ def check_inputs(model: ModelHandle, cfg: AlgoConfig, grid=None):
 
     ``n_initial`` must be at least ``d_theta + 1``, ``sigma_eps`` must match
     the model's output count when the model names its outputs, and a grid
-    needs one column per design coordinate and must lie in the design bounds
-    widened by 1e-9. Returns the grid as a float ``(n, d_x)`` array, or None.
+    needs one column per design coordinate, at least as many rows as the
+    initial design (``n_initial``, default ``d_theta + 1``), and must lie in
+    the design bounds widened by 1e-9. Returns the grid as a float
+    ``(n, d_x)`` array, or None.
     """
     n_min = model.d_theta + 1
     if cfg.n_initial is not None and cfg.n_initial < n_min:
@@ -189,6 +193,11 @@ def check_inputs(model: ModelHandle, cfg: AlgoConfig, grid=None):
         )
     if not model.bounds.contains(grid):
         raise InvalidInputError("grid contains points outside the design bounds")
+    n0 = cfg.n_initial or n_min
+    if grid.shape[0] < n0:
+        raise InvalidInputError(
+            f"grid has {grid.shape[0]} points, fewer than the {n0} of the "
+            f"initial design")
     return grid
 
 
@@ -406,8 +415,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
         if n_iter <= ALPHA_REFRESH_INITIAL or n_iter % ALPHA_REFRESH_EVERY == 0:
             alpha = select_alpha_cv(U, phi_vals, kernel=iso)
         iso = select_hypers(U, phi_vals, alpha, start=iso)
-        params = select_hypers(U, phi_vals, alpha, start=params,
-                               per_dimension=True, isotropic=iso)
+        params = select_hypers(U, phi_vals, alpha, start=params, isotropic=iso)
         gp = _fit_surrogate(U, phi_vals, params, run.warnings)
         run.timings.hyperparameters += time.perf_counter() - t0
 

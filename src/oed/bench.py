@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ProblemConfig, grid_from_levels
+from .config import ALGORITHMS, ProblemConfig, grid_from_levels
 from .exceptions import ConfigError
 from .report import summary_objective
 from .runner import run_and_emit
@@ -35,60 +35,33 @@ def yeast_grid() -> np.ndarray:
     return grid_from_levels(levels)
 
 
-def _quadratic_suite(seed):
-    grid = quadratic_grid()
-    return [
-        ("quadratic-vdm", ProblemConfig("quadratic", "vdm", grid=grid, seed=seed)),
-        ("quadratic-ybt", ProblemConfig("quadratic", "ybt", grid=grid, seed=seed)),
-        ("quadratic-adagpr", ProblemConfig("quadratic", "adagpr", n_initial=10,
-                                           seed=seed)),
-    ]
-
-
-def _flash_suite(variant, seed):
-    model = f"flash-meoh-{variant}"
-    grid = flash_grid()
-    return [
-        (f"flash-{variant}-vdm", ProblemConfig(model, "vdm", grid=grid, seed=seed)),
-        (f"flash-{variant}-ybt", ProblemConfig(model, "ybt", grid=grid, seed=seed)),
-        (f"flash-{variant}-adagpr", ProblemConfig(model, "adagpr", n_initial=50,
-                                                  seed=seed)),
-    ]
-
-
-def _yeast_suite(substrate_form, seed):
-    tag = "yeast" if substrate_form == "as-printed" else "yeast-classical"
-    opts = {"substrate_form": substrate_form}
-    grid = yeast_grid()
-    return [
-        (f"{tag}-vdm", ProblemConfig("yeast", "vdm", grid=grid,
-                                     model_options=opts, seed=seed)),
-        (f"{tag}-ybt", ProblemConfig("yeast", "ybt", grid=grid,
-                                     model_options=opts, seed=seed)),
-        (f"{tag}-adagpr", ProblemConfig("yeast", "adagpr", n_initial=200,
-                                        model_options=opts, max_iterations=600,
-                                        seed=seed)),
-    ]
-
-
+# suite -> (model, model options, grid builder, ADA-GPR settings); each suite
+# runs every algorithm, VDM and YBT on the grid.
 SUITES = {
-    "quadratic": _quadratic_suite,
-    "flash-water": lambda seed: _flash_suite("water", seed),
-    "flash-acetone": lambda seed: _flash_suite("acetone", seed),
-    "yeast": lambda seed: _yeast_suite("as-printed", seed),
-    "yeast-classical": lambda seed: _yeast_suite("classical", seed),
+    "quadratic": ("quadratic", {}, quadratic_grid, {"n_initial": 10}),
+    "flash-water": ("flash-meoh-water", {}, flash_grid, {"n_initial": 50}),
+    "flash-acetone": ("flash-meoh-acetone", {}, flash_grid, {"n_initial": 50}),
+    "yeast": ("yeast", {"substrate_form": "as-printed"}, yeast_grid,
+              {"n_initial": 200, "max_iterations": 600}),
+    "yeast-classical": ("yeast", {"substrate_form": "classical"}, yeast_grid,
+                        {"n_initial": 200, "max_iterations": 600}),
 }
 
 
 def suite_configs(suite: str, seed: int = 0):
     """Named (run-name, config) pairs for a benchmark suite, or for ``all``."""
     if suite == "all":
-        return [run for build in SUITES.values() for run in build(seed)]
+        return [run for name in SUITES for run in suite_configs(name, seed)]
     if suite not in SUITES:
         raise ConfigError(
             f"unknown suite {suite!r}; known: {sorted(SUITES) + ['all']}"
         )
-    return SUITES[suite](seed)
+    model, options, build_grid, adagpr = SUITES[suite]
+    grid = build_grid()
+    return [(f"{suite}-{algorithm}",
+             ProblemConfig(model, algorithm, model_options=options, seed=seed,
+                           **(adagpr if algorithm == "adagpr" else {"grid": grid})))
+            for algorithm in ALGORITHMS]
 
 
 def run_suite(suite: str, out_root, seed: int = 0, echo=print):

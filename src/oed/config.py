@@ -121,16 +121,9 @@ class ProblemConfig:
                            if self.sigma_eps is not None else None),
             )
 
-    def normalized(self) -> dict:
-        """Canonical JSON-ready dict; loading it back reproduces this config."""
-        out = self.echo()
-        if self.grid is not None:
-            out["grid"] = {"points": self.grid.tolist()}
-        return out
-
     def echo(self) -> dict:
-        """:meth:`normalized` without the grid, as ``summary.json`` records it
-        (a grid can hold thousands of rows)."""
+        """JSON-ready dict of every set key but the grid, as ``summary.json``
+        records it (a grid can hold thousands of rows)."""
         out = {}
         for f in fields(self):
             if f.name == "grid":

@@ -79,10 +79,6 @@ class SigmaEps:
         object.__setattr__(self, "precision", 0.5 * (p + p.T))
 
     @classmethod
-    def identity(cls, d_y: int) -> "SigmaEps":
-        return cls(np.eye(d_y))
-
-    @classmethod
     def from_covariance(cls, cov) -> "SigmaEps":
         P = np.linalg.inv(_checked_spd(cov, "covariance matrix"))
         return cls(0.5 * (P + P.T))  # inv rounds asymmetrically when ill-conditioned

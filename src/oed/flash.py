@@ -9,10 +9,12 @@ for the equilibrium temperature T, with NRTL activity coefficients and
 extended-Antoine pure-component vapor pressures (output in Pa; design-space
 pressure is in bar, temperature is reported in degrees Celsius). The unknown
 model parameters are the four NRTL interaction parameters.
-One vectorized bisection on T in [250, 600] K solves every bubble point;
-the model's Jacobians are central differences of it over one batch. A single
-bubble point is ``FlashModel(substances, nrtl).eval([x_m, P_bar])``, which
-returns ``(y_m_vap, T_celsius)``.
+One vectorized bisection on T in [250, 600] K solves every bubble point. It
+halves until no bracket can shrink any more, that is until every midpoint
+rounds onto an end of its bracket (some 53 halvings). The model's Jacobians
+are central differences of it over one batch. A single bubble point is
+``FlashModel(substances, nrtl).eval([x_m, P_bar])``, which returns
+``(y_m_vap, T_celsius)``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .models import Box, ModelHandle
 NRTL_ALPHA = 0.3
 PA_PER_BAR = 1e5
 T_BRACKET_K = (250.0, 600.0)
-_BISECT_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,14 @@ def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
     hi = np.full_like(x_m, T_BRACKET_K[1])
     if np.any(residual(lo) >= 0) or np.any(residual(hi) <= 0):
         raise NoSolutionError(f"no bubble point in {T_BRACKET_K} K")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        neg = residual(mid) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+    # Halve until every midpoint rounds onto its bracket's end: no bracket
+    # can shrink any more, and further steps would leave lo and hi as they are.
     T = 0.5 * (lo + hi)
+    while np.any((T != lo) & (T != hi)):
+        neg = residual(T) < 0
+        lo = np.where(neg, T, lo)
+        hi = np.where(neg, hi, T)
+        T = 0.5 * (lo + hi)
     return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15
 
 

@@ -274,18 +274,17 @@ def _maximize_lml(sq, y_c, alpha_fixed, starts, log_bounds):
 
 def select_hypers(X_t, y, alpha_fixed: float, *,
                   start: KernelParams | None = None,
-                  per_dimension: bool = False,
                   isotropic: KernelParams | None = None) -> KernelParams:
     """Maximize the log marginal likelihood over sigma_f^2 and the
     lengthscale(s), with the noise ``alpha_fixed`` held fixed.
 
-    Isotropic (default): multistart L-BFGS-B in log space from deterministic
-    restarts (plus the optional ``start`` pair, used to warm-start successive
-    refits). Falls back to ``(var(y), 1.0)`` with a logged warning when every
-    restart fails.
+    Without ``isotropic``, one shared lengthscale: multistart L-BFGS-B in log
+    space from deterministic restarts (plus the optional ``start`` pair, used
+    to warm-start successive refits). Falls back to ``(var(y), 1.0)`` with a
+    logged warning when every restart fails.
 
-    ``per_dimension=True`` fits one lengthscale per input dimension (ARD) by
-    refining ``isotropic``, an isotropic fit to the same data and noise.
+    Given ``isotropic``, an isotropic fit to the same data and noise, one
+    lengthscale per input dimension (ARD) is refined from it.
     L-BFGS-B runs from that fit, with every dimension at its lengthscale, and
     from ``start`` when that is itself a per-dimension fit; the larger
     likelihood wins. Each lengthscale stays within
@@ -298,9 +297,9 @@ def select_hypers(X_t, y, alpha_fixed: float, *,
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] < 2:
         raise InvalidInputError("hyper-parameter selection needs n >= 2")
-    if per_dimension:
-        if isotropic is None or np.ndim(isotropic.lengthscale):
-            raise InvalidInputError("per_dimension needs the isotropic fit")
+    if isotropic is not None:
+        if np.ndim(isotropic.lengthscale):
+            raise InvalidInputError("isotropic must be a one-lengthscale fit")
         if X.shape[1] == 1:
             return isotropic
         return _refine_per_dimension(X, y - y.mean(), alpha_fixed, isotropic, start)

@@ -46,6 +46,11 @@ def _environment() -> dict:
                   for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(_FMT % v for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def emit_report(report: AlgoReport, out_dir, coord_names=None,
                 config_echo: dict | None = None) -> dict:
     """Write design.csv, summary.json and trace.csv; returns their paths."""
@@ -63,16 +68,10 @@ def emit_report(report: AlgoReport, out_dir, coord_names=None,
             raise InvalidInputError(
                 f"{len(names)} coordinate names for {design.d_x} dimensions"
             )
-        lines = [",".join(names + ["weight"])]
-        for point, weight in zip(design.points, design.weights):
-            cells = [_FMT % v for v in point] + [_FMT % weight]
-            lines.append(",".join(cells))
-        design_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        trace_lines = ["iteration,objective"]
-        trace_lines += [f"{i + 1},{_FMT % v}"
-                        for i, v in enumerate(report.objective_trace)]
-        trace_path.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+        _write_csv(design_path, names + ["weight"],
+                   np.column_stack([design.points, design.weights]))
+        _write_csv(trace_path, ["iteration", "objective"],
+                   enumerate(report.objective_trace, 1))
 
         summary = {
             "criterion": report.criterion.value,

@@ -61,26 +61,27 @@ def _phi_and_value(M, arr, criterion):
     return _spectral_value(lam, tracked), c - v, v
 
 
-def _segment_value(M0, M1, delta, criterion):
-    """Phi((1-delta) M0 + delta M1), +inf when the blend is singular."""
-    try:
-        return criterion_value((1.0 - delta) * M0 + delta * M1, criterion)
-    except SingularInformationError:
-        return float("inf")
-
-
 def _line_search(M0, M1, hi, criterion):
-    """Best step in [0, hi] along the matrix segment, by bounded 1-D search."""
+    """Best step in [0, hi] along the matrix segment, by bounded 1-D search.
+
+    A singular or non-finite blend scores the finite ``f0 + |f0| + 1``, above
+    Phi(M0) = f0, so the search never does arithmetic on an infinity.
+    """
     if hi <= 0:
         return 0.0
-    res = minimize_scalar(
-        lambda t: _segment_value(M0, M1, t, criterion),
-        bounds=(0.0, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if res.fun < _segment_value(M0, M1, 0.0, criterion):
-        return float(res.x)
-    return 0.0
+    f0 = criterion_value(M0, criterion)
+    worse = f0 + abs(f0) + 1.0
+
+    def blend_value(t):
+        try:
+            f = criterion_value((1.0 - t) * M0 + t * M1, criterion)
+        except SingularInformationError:
+            return worse
+        return f if np.isfinite(f) else worse
+
+    res = minimize_scalar(blend_value, bounds=(0.0, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(res.x) if res.fun < f0 else 0.0
 
 
 def _accelerate(w, arr, phi, criterion):

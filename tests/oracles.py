@@ -3,6 +3,7 @@
 import numpy as np
 
 from oed.exceptions import InvalidInputError
+from oed.flash import T_BRACKET_K, _bubble_residual, _vapor_fraction
 from oed.yeast import PIECE_H, T_END_H
 
 
@@ -24,3 +25,17 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def bubble_point_batch_64(x_m, P_pa, nrtl, substances):
+    """Bubble points (y_m_vap, T_celsius) by exactly 64 bisection halvings of
+    the temperature bracket, with no bracket or finiteness checks."""
+    lo = np.full_like(x_m, T_BRACKET_K[0])
+    hi = np.full_like(x_m, T_BRACKET_K[1])
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        neg = _bubble_residual(mid, x_m, P_pa, nrtl, substances) < 0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    T = 0.5 * (lo + hi)
+    return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from oed.algorithms import (
     run_vdm,
     run_ybt,
 )
-from oed.bench import flash_grid
+from oed.bench import flash_grid, suite_configs
 from oed.designs import (
     Criterion,
     Design,
@@ -21,6 +23,7 @@ from oed.designs import (
 from oed.exceptions import InitializationError, InvalidInputError
 from oed.flash import methanol_water_flash
 from oed.models import Box, QuadraticModel
+from oed.runner import run_problem
 from oed.weights import optimize_weights
 
 GRID_201 = np.linspace(-1.0, 1.0, 201)[:, None]
@@ -216,6 +219,16 @@ class TestRunYbt:
         gap = (np.linalg.slogdet(ybt.information_matrix)[1]
                - np.linalg.slogdet(vdm.information_matrix)[1]) / np.log(10.0)
         assert abs(gap) < 1e-3
+
+    def test_singular_line_search_blends_raise_no_warning(self):
+        # Seed 41's flash-water YBT weight solves line-search segments whose
+        # far end is singular; the search must see a finite value there.
+        config = next(c for _, c in suite_configs("flash-water", 41)
+                      if c.algorithm == "ybt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_problem(config)
+        assert report.termination == "epsilon"
 
 
 @pytest.fixture(scope="module")

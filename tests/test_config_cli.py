@@ -7,10 +7,10 @@ import pytest
 import scipy
 
 from oed.algorithms import AlgoConfig, AlgoReport, TimingBreakdown
+from oed.bench import suite_configs
 from oed.cli import main
 from oed.config import (
     ProblemConfig,
-    config_from_dict,
     grid_from_levels,
     load_problem,
 )
@@ -38,6 +38,11 @@ QUADRATIC_YBT = {
     "criterion": "logD",
     "grid": {"levels": [[-1.0, -0.5, 0.0, 0.5, 1.0]]},
 }
+
+# Three grid points: fewer than the quadratic's default initial design of
+# d_theta + 1 = 4 points.
+THREE_POINT_YBT = {"model": "quadratic", "algorithm": "ybt",
+                   "grid": {"points": [[-1.0], [0.0], [1.0]]}}
 
 # A misspelt yeast option ("substrate_from"), and an option for a flash
 # model, which takes none.
@@ -163,11 +168,6 @@ class TestLoadProblem:
         with pytest.raises(ConfigError, match="unexpected keyword argument"):
             load_problem(write_config(tmp_path, payload))
 
-    def test_round_trip_of_normalized_config(self, tmp_path):
-        cfg = load_problem(write_config(tmp_path, QUADRATIC_YBT))
-        again = config_from_dict(cfg.normalized())
-        assert again.normalized() == cfg.normalized()
-
     def test_summary_echoes_every_key_but_the_grid(self, tmp_path):
         payload = dict(QUADRATIC_YBT, epsilon=1e-4, max_iterations=500,
                        n_initial=4, seed=3, sigma_eps=[[2.0]], out_dir="elsewhere",
@@ -175,8 +175,7 @@ class TestLoadProblem:
         cfg = load_problem(write_config(tmp_path, payload))
         _, paths = run_and_emit(cfg, tmp_path / "out")
         echo = json.loads(paths["summary"].read_text())["problem"]
-        expected = cfg.normalized()
-        del expected["grid"]
+        expected = cfg.echo()
         assert echo == expected
         assert echo == {"model": "quadratic", "algorithm": "ybt",
                         "criterion": "logD", "epsilon": 1e-4,
@@ -282,6 +281,25 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.count(message) == 2
 
+    @pytest.mark.parametrize("payload, run_args, message", [
+        (dict(QUADRATIC_YBT, seed=-1), [], "seed must be >= 0"),
+        (QUADRATIC_YBT, ["--seed", "-2"], "seed must be >= 0"),
+        (dict(THREE_POINT_YBT, n_initial=5), [], "fewer than the 5"),
+        (THREE_POINT_YBT, [], "fewer than the 4"),
+        (dict(QUADRATIC_YBT, epsilon=float("nan")), [], "epsilon must be positive"),
+    ], ids=["seed", "seed-override", "grid-below-n-initial", "grid-below-default",
+            "nan-epsilon"])
+    def test_values_the_algorithms_cannot_use_exit_2(self, tmp_path, capsys,
+                                                     payload, run_args, message):
+        # A negative seed, a grid smaller than the initial design and a NaN
+        # epsilon: check refuses the file (the --seed override is run's own)
+        # and run refuses it before the algorithm starts.
+        path = write_config(tmp_path, payload)
+        assert main(["check", str(path)]) == (0 if run_args else 2)
+        assert main(["run", str(path), *run_args,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_run_writes_reports(self, tmp_path, capsys):
         path = write_config(tmp_path, QUADRATIC_YBT)
         out = tmp_path / "run-out"
@@ -311,3 +329,35 @@ class TestCli:
         for suite in ("quadratic", "flash-water", "flash-acetone", "yeast",
                       "yeast-classical", "all"):
             assert repr(suite) in err
+
+
+# suite -> (model, substrate form, grid shape, ADA-GPR settings) at seed 3.
+SUITE_PINS = {
+    "quadratic": ("quadratic", None, (201, 1), {"n_initial": 10}),
+    "flash-water": ("flash-meoh-water", None, (9191, 2), {"n_initial": 50}),
+    "flash-acetone": ("flash-meoh-acetone", None, (9191, 2), {"n_initial": 50}),
+    "yeast": ("yeast", "as-printed", (15552, 11),
+              {"n_initial": 200, "max_iterations": 600}),
+    "yeast-classical": ("yeast", "classical", (15552, 11),
+                        {"n_initial": 200, "max_iterations": 600}),
+}
+
+
+def test_suite_run_names_echoes_and_grids_pinned():
+    expected = []
+    for suite, (model, form, shape, adagpr) in SUITE_PINS.items():
+        options = {"model_options": {"substrate_form": form}} if form else {}
+        for algorithm in ("vdm", "ybt", "adagpr"):
+            echo = {"model": model, "algorithm": algorithm, "criterion": "logD",
+                    "epsilon": 1e-3, "max_iterations": 10_000, "seed": 3,
+                    **options}
+            if algorithm == "adagpr":
+                echo.update(adagpr)
+            expected.append((f"{suite}-{algorithm}", echo,
+                             None if algorithm == "adagpr" else shape))
+    runs = suite_configs("all", 3)
+    got = [(name, cfg.echo(), None if cfg.grid is None else cfg.grid.shape)
+           for name, cfg in runs]
+    assert got == expected
+    assert [name for suite in SUITE_PINS
+            for name, _ in suite_configs(suite, 3)] == [name for name, _ in runs]

@@ -26,10 +26,10 @@ def quad_mu(x):
 
 class TestFisherAtPoint:
     def test_identity_jacobian_identity_sigma(self):
-        assert np.allclose(fisher_at_point(np.eye(2), SigmaEps.identity(2)), np.eye(2))
+        assert np.allclose(fisher_at_point(np.eye(2), SigmaEps(np.eye(2))), np.eye(2))
 
     def test_rank_one_column(self):
-        mu = fisher_at_point(np.array([[2.0], [0.0]]), SigmaEps.identity(1))
+        mu = fisher_at_point(np.array([[2.0], [0.0]]), SigmaEps(np.eye(1)))
         assert np.allclose(mu, [[4.0, 0.0], [0.0, 0.0]])
 
     def test_scalar_covariance_scaling(self):
@@ -65,9 +65,9 @@ class TestFisherAtPoint:
         # A 2x2 precision must not broadcast over single-output Jacobians.
         J = np.ones((4, 3, 1))
         with pytest.raises(InvalidInputError, match="output columns"):
-            fisher_at_points(J, SigmaEps.identity(2))
+            fisher_at_points(J, SigmaEps(np.eye(2)))
         with pytest.raises(InvalidInputError, match="output columns"):
-            fisher_at_point(J[0], SigmaEps.identity(2))
+            fisher_at_point(J[0], SigmaEps(np.eye(2)))
 
 
 class TestInformationMatrix:
@@ -288,7 +288,7 @@ class TestDesignType:
 
 class TestSigmaEps:
     def test_identity(self):
-        assert np.allclose(SigmaEps.identity(3).precision, np.eye(3))
+        assert np.allclose(SigmaEps(np.eye(3)).precision, np.eye(3))
 
     def test_from_covariance_inverts(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from oracles import bubble_point_batch_64
 from scipy.optimize import brentq
 
+import oed.flash
+from oed.bench import flash_grid
 from oed.exceptions import InvalidInputError, NoSolutionError, NonFiniteModelError
 from oed.flash import (
     ACETONE,
@@ -204,6 +207,16 @@ class TestFlashModel:
                 oracle = brentq_flash_jacobian(x, model.theta_nominal,
                                                model.substances)
                 np.testing.assert_allclose(batch[k], oracle, rtol=1e-6, atol=1e-7)
+
+    def test_grid_jacobians_equal_fixed_64_step_bisection(self, monkeypatch):
+        # The bisection stops once no bracket can shrink; 64 halvings must
+        # give the same bits on both mixtures' full grids.
+        grid = flash_grid()
+        for build in (methanol_water_flash, methanol_acetone_flash):
+            J = build().jacobian_batch(grid)
+            with monkeypatch.context() as m:
+                m.setattr(oed.flash, "_bubble_point_batch", bubble_point_batch_64)
+                assert np.array_equal(build().jacobian_batch(grid), J)
 
     def test_non_finite_jacobian_raises(self):
         model = FlashModel(theta_nominal=(0.0, 800.0, 0.0, 0.0))

@@ -318,10 +318,9 @@ class TestSelectHypers:
         X = rng.uniform(size=(15, 1))
         y = np.sin(6 * X[:, 0])
         iso = select_hypers(X, y, alpha_fixed=1e-6)
-        assert select_hypers(X, y, alpha_fixed=1e-6, per_dimension=True,
-                             isotropic=iso) == iso
+        assert select_hypers(X, y, alpha_fixed=1e-6, isotropic=iso) == iso
         with pytest.raises(InvalidInputError):
-            select_hypers(X, y, alpha_fixed=1e-6, per_dimension=True)
+            select_hypers(X, y, alpha_fixed=1e-6, isotropic=KernelParams(1.0, [0.5]))
         with pytest.raises(InvalidInputError):
             select_hypers(X, y, alpha_fixed=1e-6, start=KernelParams(1.0, [0.5]))
 
@@ -332,7 +331,7 @@ class TestSelectHypers:
         X = rng.uniform(size=(40, 2))
         y = np.sin(8 * X[:, 0])
         iso = select_hypers(X, y, alpha_fixed=1e-6)
-        ard = select_hypers(X, y, alpha_fixed=1e-6, per_dimension=True, isotropic=iso)
+        ard = select_hypers(X, y, alpha_fixed=1e-6, isotropic=iso)
         assert ard.lengthscale.shape == (2,)
         assert ard.lengthscale[0] < iso.lengthscale < ard.lengthscale[1]
         assert ard.lengthscale[1] > 10 * ard.lengthscale[0]
@@ -340,8 +339,7 @@ class TestSelectHypers:
         assert (log_marginal_likelihood(X, y_c, ard)
                 > log_marginal_likelihood(X, y_c, iso))
         # Warm-starting from the previous fit returns a fit at least as good.
-        again = select_hypers(X, y, alpha_fixed=1e-6, per_dimension=True,
-                              isotropic=iso, start=ard)
+        again = select_hypers(X, y, alpha_fixed=1e-6, isotropic=iso, start=ard)
         assert (log_marginal_likelihood(X, y_c, again)
                 >= log_marginal_likelihood(X, y_c, ard) - 1e-9)
 
@@ -353,7 +351,7 @@ class TestSelectHypers:
         y = np.sin(8 * X[:, 0]) + 0.5 * rng.normal(size=40)
         iso = select_hypers(X, y, alpha_fixed=0.25)
         assert 0.25 >= 1e-2 * iso.signal_variance
-        ard = select_hypers(X, y, alpha_fixed=0.25, per_dimension=True, isotropic=iso)
+        ard = select_hypers(X, y, alpha_fixed=0.25, isotropic=iso)
         assert np.all(ard.lengthscale <= ARD_MAX_RATIO * iso.lengthscale * (1 + 1e-9))
 
 
