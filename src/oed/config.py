@@ -10,6 +10,7 @@ covariance matrix and defaults to the identity.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -58,6 +59,17 @@ def _as_config_error():
         raise ConfigError(f"invalid configuration value: {exc}") from exc
 
 
+def _number(key, value, kind):
+    """``value`` as ``kind``: an int takes a whole number, a float any real
+    one, and neither takes a bool or a string."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or kind is int and not (isinstance(value, numbers.Integral)
+                                    or float(value).is_integer())):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
+
+
 @dataclass
 class ProblemConfig:
     """Validated problem definition with defaults filled in.
@@ -89,11 +101,11 @@ class ProblemConfig:
             )
         if not isinstance(self.criterion, Criterion):
             self.criterion = Criterion.parse(self.criterion)
-        self.epsilon = float(self.epsilon)
-        self.max_iterations = int(self.max_iterations)
+        self.epsilon = _number("epsilon", self.epsilon, float)
+        self.max_iterations = _number("max_iterations", self.max_iterations, int)
         if self.n_initial is not None:
-            self.n_initial = int(self.n_initial)
-        self.seed = int(self.seed)
+            self.n_initial = _number("n_initial", self.n_initial, int)
+        self.seed = _number("seed", self.seed, int)
         self.model_options = dict(self.model_options)
         if self.algorithm == "adagpr" and self.grid is not None:
             raise ConfigError("adagpr works on the continuous space; remove 'grid'")

@@ -5,9 +5,10 @@ The kernel has one lengthscale (isotropic) or one per input dimension
 
 Posterior mean/variance follow the zero-mean conditioning formulas with the
 white-noise term ``alpha`` added to the training diagonal only; predictions
-are noise-free latent-function estimates. Analytic gradients of the posterior
-mean and variance with respect to the query point are exposed because the
-acquisition optimizer consumes them.
+are noise-free latent-function estimates, one query point at a time, with
+the analytic query-point gradients the acquisition optimizer consumes; there
+is no batch ``predict``. ``K0 + alpha*I`` is factored in one place,
+:func:`_factor`; noise CV builds each fold's kernel once and scores means only.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def kernel_matrix(X_a, X_b, params: KernelParams) -> np.ndarray:
 
     An isotropic kernel has ``l_k = l`` for every dimension. The white-noise
     term is never added here; it only enters the training diagonal inside
-    :func:`fit`.
+    :func:`_factor`.
     """
     A, B = _as_points(X_a), _as_points(X_b)
     _check_dims(A, params)
@@ -117,6 +118,9 @@ class GPState:
     def posterior(self, x):
         """Posterior (mean, variance, mean_gradient, variance_gradient) at x."""
         x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.X.shape[1]:
+            raise InvalidInputError(
+                f"{x.size}-wide query for a GP on {self.X.shape[1]}-dimensional inputs")
         diff = self.X - x  # (n, d)
         l2 = self._l2
         if np.ndim(l2):
@@ -133,49 +137,46 @@ class GPState:
         var_grad = -2.0 * (grad_k.T @ v)
         return mean, var, mean_grad, var_grad
 
-    def predict(self, X_query):
-        """Batch posterior means and variances (no gradients)."""
-        K_star = kernel_matrix(X_query, self.X, self.params)
-        means = K_star @ self._alpha_vec
-        V = cho_solve(self._chol, K_star.T)
-        variances = np.maximum(
-            self.params.signal_variance - np.einsum("nm,nm->m", K_star.T, V), 0.0
-        )
-        return means, variances
 
-
-def fit(X_t, y, params: KernelParams) -> GPState:
-    """Fit the exact GP posterior; O(n^3) once, O(n^2)-ish queries after."""
+def _as_data(X_t, y):
     X = _as_points(X_t)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise InvalidInputError("X_t and y lengths differ")
-    if X.shape[0] < 1:
-        raise InvalidInputError("need at least one training point")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("targets contain non-finite entries")
-    K = kernel_matrix(X, X, params)
-    K[np.diag_indices_from(K)] += params.noise
+    return X, y
+
+
+def fit(X_t, y, params: KernelParams) -> GPState:
+    """Fit the exact GP posterior; O(n^3) once, O(n^2)-ish queries after."""
+    X, y = _as_data(X_t, y)
+    if X.shape[0] < 1:
+        raise InvalidInputError("need at least one training point")
+    chol = _factor(kernel_matrix(X, X, params), params.noise)
+    return GPState(X, params, chol, cho_solve(chol, y))
+
+
+def _factor(K0, noise):
+    """Lower Cholesky factor of ``K0 + noise*I`` (``K0`` is not modified)."""
+    K = K0.copy()
+    K[np.diag_indices_from(K)] += noise
     try:
-        chol = cho_factor(K, lower=True)
+        return cho_factor(K, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise SingularKernelError(
-            f"kernel matrix not positive definite (n={X.shape[0]}, "
-            f"noise={params.noise:g}): {exc}"
+            f"kernel matrix not positive definite (n={K.shape[0]}, "
+            f"noise={noise:g}): {exc}"
         ) from exc
-    alpha_vec = cho_solve(chol, y)
-    return GPState(X, params, chol, alpha_vec)
 
 
 def log_marginal_likelihood(X_t, y, params: KernelParams) -> float:
     """Gaussian log marginal likelihood of ``y`` under the kernel (larger is better)."""
-    X = _as_points(X_t)
+    X, y = _as_data(X_t, y)
     _check_dims(X, params)
-    value, _ = _lml_with_grad(_sq_differences(X, np.ndim(params.lengthscale) > 0),
-                              np.asarray(y, float).ravel(),
-                              params.signal_variance, params.lengthscale,
-                              params.noise, want_grad=False)
-    return value
+    sq = _sq_differences(X, np.ndim(params.lengthscale) > 0)
+    return _lml_with_grad(sq, y, params.signal_variance, params.lengthscale,
+                          params.noise)[0]
 
 
 def _sq_differences(X, per_dimension: bool) -> np.ndarray:
@@ -196,7 +197,7 @@ def _cho_inverse(chol) -> np.ndarray:
     return lower + np.tril(lower, -1).T
 
 
-def _lml_with_grad(sq, y, sf2, ell, noise, want_grad=True):
+def _lml_with_grad(sq, y, sf2, ell, noise):
     """LML and its gradient w.r.t. (log sigma_f^2, log l_1, ..., log l_d).
 
     ``sq`` comes from :func:`_sq_differences`: the (n, n) squared distances
@@ -213,32 +214,19 @@ def _lml_with_grad(sq, y, sf2, ell, noise, want_grad=True):
         K0 = sf2 * np.exp(-0.5 * np.tensordot(inv_l2, sq, axes=1))
     else:
         K0 = sf2 * np.exp(-0.5 * sq / ell**2)  # noiseless part
-    K = K0.copy()
-    K[np.diag_indices_from(K)] += noise
-    try:
-        chol = cho_factor(K, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularKernelError(f"kernel matrix not positive definite: {exc}") from exc
+    chol = _factor(K0, noise)
     alpha_vec = cho_solve(chol, y, check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
     value = -0.5 * float(y @ alpha_vec) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
-    if not want_grad:
-        return value, None
     if per_dimension:
         # d K / d log(l_k) = K0 * sq_k / l_k^2: one contraction over all pairs.
         WK = (np.outer(alpha_vec, alpha_vec) - _cho_inverse(chol)) * K0
         grad_ell = 0.5 * inv_l2 * (sq.reshape(sq.shape[0], -1) @ WK.ravel())
         return value, np.concatenate([[0.5 * float(WK.sum())], grad_ell])
-    Kinv = cho_solve(chol, np.eye(n), check_finite=False)
-    W = np.outer(alpha_vec, alpha_vec) - Kinv
-    # Derivatives w.r.t. log(sigma_f^2) and log(l).
-    dK_dlog_sf2 = K0
-    dK_dlog_ell = K0 * (sq / ell**2)
-    grad = np.array([
-        0.5 * np.einsum("ij,ij->", W, dK_dlog_sf2),
-        0.5 * np.einsum("ij,ij->", W, dK_dlog_ell),
-    ])
-    return value, grad
+    W = np.outer(alpha_vec, alpha_vec) - cho_solve(chol, np.eye(n), check_finite=False)
+    # d K / d log(sigma_f^2) = K0 and d K / d log(l) = K0 * sq / l^2.
+    return value, np.array([0.5 * np.einsum("ij,ij->", W, K0),
+                            0.5 * np.einsum("ij,ij->", W, K0 * (sq / ell**2))])
 
 
 def _maximize_lml(sq, y_c, alpha_fixed, starts, log_bounds):
@@ -293,8 +281,7 @@ def select_hypers(X_t, y, alpha_fixed: float, *,
     ``ARD_MAX_RATIO`` times the isotropic lengthscale. The isotropic fit is
     returned for one-dimensional inputs and when every start fails.
     """
-    X = _as_points(X_t)
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _as_data(X_t, y)
     if X.shape[0] < 2:
         raise InvalidInputError("hyper-parameter selection needs n >= 2")
     if isotropic is not None:
@@ -347,53 +334,45 @@ def _refine_per_dimension(X, y_c, alpha_fixed, isotropic: KernelParams,
     return KernelParams(float(e[0]), e[1:], alpha_fixed)
 
 
-def _cv_fold_params(X_train, y_train, kernel: KernelParams | None):
-    if kernel is not None:
-        return kernel.signal_variance, kernel.lengthscale
-    dists = pdist(X_train)
-    positive = dists[dists > 0]
-    ell = float(np.median(positive)) if positive.size else 1.0
-    sf2 = float(np.clip(np.var(y_train), *SIGNAL_VARIANCE_BOUNDS))
-    return sf2, ell
-
-
 def select_alpha_cv(X_t, y, *, kernel: KernelParams | None = None) -> float:
     """Pick the white-noise level from the 21-value grid by 5-fold CV.
 
-    Folds are formed by index stride; the mean squared prediction error
-    decides, with ties broken toward the larger alpha. With fewer than 5
-    points the default ``1e-6`` is returned with a logged warning. The fold
-    fits use ``kernel``'s (sigma_f^2, l) when given, else a median-distance /
-    target-variance heuristic.
+    Folds are formed by index stride; the mean squared error of the posterior
+    means decides, with ties broken toward the larger alpha, and an alpha
+    that some fold cannot factor is skipped. With fewer than 5 points the
+    default ``1e-6`` is returned with a logged warning. Each fold's kernel is
+    built once, from ``kernel``'s (sigma_f^2, l) when given, else from a
+    median-distance / target-variance heuristic.
     """
-    X = _as_points(X_t)
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _as_data(X_t, y)
     n = y.shape[0]
     if n < CV_FOLDS:
         logger.warning("select_alpha_cv needs n >= %d, got %d; using default %g",
                        CV_FOLDS, n, DEFAULT_ALPHA)
         return DEFAULT_ALPHA
-    idx = np.arange(n)
+    folds = []  # (K0 train-train, K_star test-train, y_train, y_test)
+    for fold in range(CV_FOLDS):
+        test = np.arange(n) % CV_FOLDS == fold
+        X_train, y_train = X[~test], y[~test]
+        params = kernel
+        if params is None:
+            dists = pdist(X_train)
+            positive = dists[dists > 0]
+            params = KernelParams(
+                float(np.clip(np.var(y_train), *SIGNAL_VARIANCE_BOUNDS)),
+                float(np.median(positive)) if positive.size else 1.0)
+        folds.append((kernel_matrix(X_train, X_train, params),
+                      kernel_matrix(X[test], X_train, params), y_train, y[test]))
     best_alpha, best_mse = None, np.inf
     for alpha in ALPHA_GRID:
-        total = 0.0
-        count = 0
-        failed = False
-        for fold in range(CV_FOLDS):
-            test = idx % CV_FOLDS == fold
-            train = ~test
-            sf2, ell = _cv_fold_params(X[train], y[train], kernel)
-            try:
-                state = fit(X[train], y[train], KernelParams(sf2, ell, alpha))
-            except SingularKernelError:
-                failed = True
-                break
-            pred, _ = state.predict(X[test])
-            total += float(np.sum((pred - y[test]) ** 2))
-            count += int(test.sum())
-        if failed:
+        try:
+            total = sum(
+                float(np.sum((K_star @ cho_solve(_factor(K0, alpha), y_train)
+                              - y_test) ** 2))
+                for K0, K_star, y_train, y_test in folds)
+        except SingularKernelError:
             continue
-        mse = total / count
+        mse = total / n
         if mse <= best_mse:  # ties resolve toward larger alpha (grid ascends)
             best_alpha, best_mse = alpha, mse
     if best_alpha is None:

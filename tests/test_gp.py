@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import alpha_cv_by_refits, posterior_stack
 from oed.exceptions import InvalidInputError, SingularKernelError
 from oed.gp import (
     ALPHA_GRID,
@@ -99,7 +100,7 @@ class TestPerDimensionKernel:
         for x in queries:
             for a, b in zip(gp_s.posterior(x), gp_v.posterior(x)):
                 assert np.allclose(a, b, rtol=1e-10, atol=1e-13)
-        for a, b in zip(gp_s.predict(queries), gp_v.predict(queries)):
+        for a, b in zip(posterior_stack(gp_s, queries), posterior_stack(gp_v, queries)):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-13)
         # The log-lengthscale gradient of the tied vector sums to the scalar one.
         _, g_s = _lml_with_grad(_sq_differences(X, False), y, 1.3, 0.4, 1e-4)
@@ -178,6 +179,12 @@ class TestFitAndPosterior:
             fit(X, [1.0, 1.0], KernelParams(1.0, 1.0, 0.0))
         fit(X, [1.0, 1.0], KernelParams(1.0, 1.0, 0.1))  # succeeds
 
+    @pytest.mark.parametrize("query", [[0.3], [0.3, 0.3, 0.3]], ids=["1-wide", "3-wide"])
+    def test_query_of_the_wrong_width_rejected(self, query):
+        gp = fit([[0.2, 0.4], [0.7, 0.1]], [1.0, -1.0], KernelParams(1.0, 0.5, 1e-6))
+        with pytest.raises(InvalidInputError):
+            gp.posterior(query)
+
     def test_single_point_posterior_closed_form(self):
         gp = fit([[0.0]], [2.0], KernelParams(1.0, 1.0, 0.0))
         mean, var, _, _ = gp.posterior([1.0])
@@ -205,7 +212,7 @@ class TestFitAndPosterior:
         y = np.sin(5 * X[:, 0])
         alpha = 1e-4
         gp = fit(X, y, KernelParams(1.0, 0.3, alpha))
-        pred, _ = gp.predict(X)
+        pred, _ = posterior_stack(gp, X)
         assert np.abs(pred - y).max() <= 3 * np.sqrt(alpha) + 1e-8
 
     def test_variance_bounds(self):
@@ -214,7 +221,7 @@ class TestFitAndPosterior:
         y = rng.normal(size=10)
         params = KernelParams(2.5, 0.4, 0.05)
         gp = fit(X, y, params)
-        _, variances = gp.predict(rng.uniform(size=(200, 2)))
+        _, variances = posterior_stack(gp, rng.uniform(size=(200, 2)))
         assert variances.min() >= 0.0
         assert variances.max() <= params.signal_variance + params.noise + 1e-12
 
@@ -253,11 +260,11 @@ class TestFitAndPosterior:
         y = rng.normal(size=8)
         queries = rng.uniform(size=(50, 1))
         base = fit(X, y, KernelParams(1.0, 0.4, 0.0))
-        _, var_before = base.predict(queries)
+        _, var_before = posterior_stack(base, queries)
         X2 = np.vstack([X, [[0.5]]])
         y2 = np.append(y, 0.3)
         extended = fit(X2, y2, KernelParams(1.0, 0.4, 0.0))
-        _, var_after = extended.predict(queries)
+        _, var_after = posterior_stack(extended, queries)
         assert np.all(var_after <= var_before + 1e-9)
 
 
@@ -374,5 +381,51 @@ class TestSelectAlphaCv:
         y = np.sin(2 * X[:, 0]) + 0.3 * rng.normal(size=20)
         assert select_alpha_cv(X, y) > 1e-10
 
+    def test_ties_go_to_the_larger_alpha(self):
+        # Zero targets give every alpha a mean squared error of exactly 0.
+        X = np.linspace(0, 1, 12)[:, None]
+        assert select_alpha_cv(X, np.zeros(12)) == ALPHA_GRID[-1]
+
     def test_too_few_points_fall_back(self):
         assert select_alpha_cv([[0.0], [1.0]], [0.0, 1.0]) == pytest.approx(1e-6)
+
+    @pytest.mark.parametrize("kernel", [None, KernelParams(0.8, 0.3)],
+                             ids=["heuristic", "isotropic"])
+    @pytest.mark.parametrize("d", [1, 2, 11])
+    def test_matches_one_fit_per_alpha_and_fold(self, d, kernel):
+        rng = np.random.default_rng(40 + d)
+        for n in (5, 6, 9, 14, 23, 37, 60):
+            X = rng.uniform(size=(n, d))
+            y = np.sin(3 * X.sum(axis=1)) + float(rng.uniform(0, 0.3)) * rng.normal(size=n)
+            assert select_alpha_cv(X, y, kernel=kernel) == alpha_cv_by_refits(X, y, kernel)
+
+    @pytest.mark.parametrize("kernel", [None, KernelParams(1e6, 0.5)],
+                             ids=["heuristic", "isotropic"])
+    def test_duplicated_rows_skip_the_alphas_that_cannot_factor(self, kernel):
+        # Each point appears twice and the target variance exceeds the
+        # signal-variance cap of 1e6, so the duplicated kernel rows make the
+        # smallest alphas unfactorable.
+        rng = np.random.default_rng(9)
+        for n in (10, 24, 40):
+            X = np.repeat(rng.uniform(size=(n // 2, 2)), 2, axis=0)
+            y = 1e4 * (np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n))
+            with pytest.raises(SingularKernelError):
+                fit(X, y, KernelParams(1e6, 0.5, ALPHA_GRID[0]))
+            alpha = select_alpha_cv(X, y, kernel=kernel)
+            assert alpha == alpha_cv_by_refits(X, y, kernel)
+            assert alpha > ALPHA_GRID[0]
+
+
+@pytest.mark.parametrize("targets", [np.zeros(9), np.where(np.arange(10) == 7, np.nan, 1.0)],
+                         ids=["length-mismatch", "non-finite"])
+@pytest.mark.parametrize("entry", [
+    lambda X, y: fit(X, y, KernelParams(1.0, 0.3, 1e-6)),
+    lambda X, y: log_marginal_likelihood(X, y, KernelParams(1.0, 0.3, 1e-6)),
+    lambda X, y: select_hypers(X, y, 1e-6),
+    select_alpha_cv,
+], ids=["fit", "log_marginal_likelihood", "select_hypers", "select_alpha_cv"])
+def test_bad_targets_rejected(entry, targets):
+    # Ten inputs against nine targets, or a NaN target: every GP entry point
+    # refuses them before any kernel work.
+    with pytest.raises(InvalidInputError):
+        entry(np.linspace(0, 1, 10)[:, None], targets)
