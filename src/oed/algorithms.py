@@ -202,7 +202,7 @@ def check_inputs(model: ModelHandle, cfg: AlgoConfig, grid=None):
 
 
 class _Run:
-    """Bookkeeping of one run: timings, warnings and the Jacobian count."""
+    """The one run recorder: bucket timings, warnings, Jacobians and report."""
 
     def __init__(self, model: ModelHandle):
         self.model = model
@@ -211,101 +211,82 @@ class _Run:
         self.t_start = time.perf_counter()
         self.jac_before = model.n_jacobian_evals
 
-    def jacobians(self, evaluate, x):
-        """``evaluate(x)``, a model Jacobian method, timed as the Jacobian bucket."""
+    def timed(self, bucket: str, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, its time added to the ``bucket`` timing."""
         t0 = time.perf_counter()
         try:
-            return evaluate(x)
+            return fn(*args, **kwargs)
         finally:
-            self.timings.jacobian += time.perf_counter() - t0
+            setattr(self.timings, bucket,
+                    getattr(self.timings, bucket) + time.perf_counter() - t0)
+
+    def report(self, cfg: AlgoConfig, design: Design, M: np.ndarray, trace,
+               termination: str) -> AlgoReport:
+        """The report on the final ``design``, whose information matrix is ``M``."""
+        self.timings.total = time.perf_counter() - self.t_start
+        return AlgoReport(
+            design=design,
+            clustered_design=cluster_design(design, box=self.model.bounds),
+            objective=criterion_value(M, cfg.criterion),
+            objective_trace=np.asarray(trace),
+            iterations=len(trace),
+            jacobian_evals=self.model.n_jacobian_evals - self.jac_before,
+            timings=self.timings,
+            termination=termination,
+            criterion=cfg.criterion,
+            information_matrix=M,
+            warnings=self.warnings,
+        )
 
 
 def _exchange(run: _Run, cfg: AlgoConfig, keys: list, cand: np.ndarray,
-              propose, to_points, *, vertex: bool = False,
-              prune: bool = False) -> AlgoReport:
-    """The exchange loop of all three algorithms.
+              propose, to_points) -> AlgoReport:
+    """The re-solve loop of YBT and ADA-GPR.
 
     ``keys`` name the candidates, ``cand`` stacks their Fisher matrices. Each
-    iteration weighs the candidates, records the objective and asks
+    iteration solves the optimal weights on the candidates, warm-started with
+    the last proposal's line-searched mass fraction (a capped solve continues
+    from its best iterate, with a warning), records the objective and asks
     ``propose(M, trace, keys, cand)`` for a new ``(key, mu)`` or a termination
-    reason. VDM (``vertex``) keeps a running average: iteration k gives the
-    proposal ``1/(n0 + k)``, merged into a re-selected point. Otherwise the
-    weights are re-solved, warm-started with the new candidate's line-searched
-    mass fraction; a capped solve continues from its best iterate, with a
-    warning. The report covers the candidates of the last weighing, at
-    ``to_points(keys)``; ``prune`` drops weights below 0.001 from ``design``.
+    reason. The report covers the candidates of the last solve, at
+    ``to_points(keys)``.
     """
-    n0 = len(keys)
-    w = np.full(n0, 1.0 / n0)
-    M = cand.mean(axis=0)
-    position = {key: i for i, key in enumerate(keys)} if vertex else None
     warm = None
     trace = []
     termination = "max_iterations"
     for k in range(1, cfg.max_iterations + 1):
-        if vertex:
-            trace.append(criterion_value(M, cfg.criterion))
-        else:
-            t0 = time.perf_counter()
-            try:
-                sol = optimize_weights(cand, cfg.criterion, tol=cfg.weight_tol,
-                                       warm_start=warm)
-            except ConvergenceError as exc:
-                sol = exc.best
-                run.warnings.append(f"iteration {k}: {exc}; continued from "
-                                    "its best iterate")
-            run.timings.weights += time.perf_counter() - t0
-            w = sol.weights
-            M = information_matrix(w, cand)
-            trace.append(sol.objective)
+        try:
+            sol = run.timed("weights", optimize_weights, cand, cfg.criterion,
+                            tol=cfg.weight_tol, warm_start=warm)
+        except ConvergenceError as exc:
+            sol = exc.best
+            run.warnings.append(f"iteration {k}: {exc}; continued from "
+                                "its best iterate")
+        w = sol.weights
+        M = information_matrix(w, cand)
+        trace.append(sol.objective)
         proposal = propose(M, trace, keys, cand)
         if isinstance(proposal, str):
             termination = proposal
             break
         key, mu = proposal
-        if vertex:
-            alpha = 1.0 / (n0 + k)  # as if every selected point were a new candidate
-            w *= 1.0 - alpha
-            M = (1.0 - alpha) * M + alpha * mu
-            if key in position:
-                w[position[key]] += alpha
-                continue
-            position[key] = len(keys)
-            w = np.append(w, alpha)
-        else:
-            delta = _line_search(M, mu, 0.5, cfg.criterion)
-            warm = np.append(w * (1.0 - delta), max(delta, 1e-12))
+        delta = _line_search(M, mu, 0.5, cfg.criterion)
+        warm = np.append(w * (1.0 - delta), max(delta, 1e-12))
         keys.append(key)
         cand = np.concatenate([cand, mu[None]])
 
-    if vertex:
-        w = w / w.sum()
     n = w.shape[0]
     M = information_matrix(w, cand[:n])
-    full = Design(to_points(keys[:n]), w)
-    run.timings.total = time.perf_counter() - run.t_start
-    return AlgoReport(
-        design=full.pruned(PRUNE_WEIGHT) if prune else full,
-        clustered_design=cluster_design(full, box=run.model.bounds),
-        objective=criterion_value(M, cfg.criterion),
-        objective_trace=np.asarray(trace),
-        iterations=len(trace),
-        jacobian_evals=run.model.n_jacobian_evals - run.jac_before,
-        timings=run.timings,
-        termination=termination,
-        criterion=cfg.criterion,
-        information_matrix=M,
-        warnings=run.warnings,
-    )
+    return run.report(cfg, Design(to_points(keys[:n]), w), M, trace, termination)
 
 
-def _grid_exchange(model: ModelHandle, grid, cfg: AlgoConfig,
-                   vertex: bool) -> AlgoReport:
-    """VDM or YBT: every grid Jacobian once up front, an invertible random
-    start, and the phi-minimizing grid point as each iteration's proposal."""
+def _grid_start(model: ModelHandle, grid, cfg: AlgoConfig):
+    """The grid methods' set-up: every grid Jacobian once, an invertible random
+    start (its grid indices ``keys``) and ``propose(M)``, the phi-minimizing
+    grid point ``(j, mus[j])`` or ``"epsilon"``."""
     grid = check_inputs(model, cfg, grid)
     run = _Run(model)
-    mus = fisher_at_points(run.jacobians(model.jacobian_batch, grid),
+    mus = fisher_at_points(run.timed("jacobian", model.jacobian_batch, grid),
                            cfg.sigma_eps)
     n0 = cfg.n_initial if cfg.n_initial is not None else model.d_theta + 1
     rng = np.random.default_rng(cfg.rng_seed)
@@ -317,25 +298,51 @@ def _grid_exchange(model: ModelHandle, grid, cfg: AlgoConfig,
         raise InitializationError(f"no invertible initial information matrix "
                                   f"in {MAX_INIT_RESAMPLES} resamples")
 
-    def propose(M, trace, keys, cand):
+    def propose(M, *_):
         phi = directional_derivatives(M, mus, cfg.criterion)
         j = int(np.argmin(phi))
         if phi[j] > -cfg.epsilon:
             return "epsilon"
         return j, mus[j]
 
-    return _exchange(run, cfg, idx0.tolist(), mus[idx0], propose,
-                     lambda keys: grid[keys], vertex=vertex, prune=not vertex)
+    return run, grid, mus, idx0.tolist(), propose
 
 
 def run_vdm(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
     """Vertex Direction Method on a precomputed grid.
 
-    Each iteration shifts weight 1/(n+1) to the phi-minimizing grid point and
-    rescales the rest; a re-selected support point merges its weight instead
-    of duplicating. Every grid Jacobian is evaluated exactly once up front.
+    A running average: iteration k moves weight ``1/(n0 + k)`` to the
+    phi-minimizing grid point and rescales the rest, as if every selected
+    point were a new candidate; a re-selected point takes it at its place
+    instead of duplicating. The weights are normalized once, at the end.
+    Every grid Jacobian is evaluated exactly once up front.
     """
-    return _grid_exchange(model, grid, cfg, vertex=True)
+    run, grid, mus, keys, propose = _grid_start(model, grid, cfg)
+    n0 = len(keys)
+    w = np.full(n0, 1.0 / n0)
+    M = mus[keys].mean(axis=0)
+    position = {j: i for i, j in enumerate(keys)}
+    trace = []
+    termination = "max_iterations"
+    for k in range(1, cfg.max_iterations + 1):
+        trace.append(criterion_value(M, cfg.criterion))
+        proposal = propose(M)
+        if isinstance(proposal, str):
+            termination = proposal
+            break
+        j, mu = proposal
+        alpha = 1.0 / (n0 + k)
+        w *= 1.0 - alpha
+        M = (1.0 - alpha) * M + alpha * mu
+        if j not in position:
+            position[j] = len(keys)
+            keys.append(j)
+            w = np.append(w, 0.0)
+        w[position[j]] += alpha
+
+    w = w / w.sum()
+    M = information_matrix(w, mus[keys])
+    return run.report(cfg, Design(grid[keys], w), M, trace, termination)
 
 
 def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
@@ -347,26 +354,10 @@ def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
     design by the equivalence theorem (up to epsilon). The reported design
     drops weights below 0.001, as the published tables do.
     """
-    return _grid_exchange(model, grid, cfg, vertex=False)
-
-
-def _fit_surrogate(U, phi_vals, params, warnings_log):
-    """Fit the GP, bumping the noise floor when the kernel is singular."""
-    noise = params.noise
-    for _ in range(8):
-        try:
-            # Zero-mean conditioning, not target centering: far from data the
-            # surrogate then predicts 0 ("possibly optimal"), which keeps the
-            # tau=1 acquisition exploring; centered targets would predict the
-            # candidate mean (positive after reweighting) and stall in high-D.
-            return gp_fit(U, phi_vals, KernelParams(params.signal_variance,
-                                                    params.lengthscale, noise))
-        except SingularKernelError:
-            noise = max(noise * 100.0, 1e-10)
-            warnings_log.append(
-                f"singular surrogate kernel; noise floor raised to {noise:g}"
-            )
-    raise SingularKernelError("surrogate kernel stayed singular despite noise")
+    run, grid, mus, keys, propose = _grid_start(model, grid, cfg)
+    report = _exchange(run, cfg, keys, mus[keys], propose, lambda keys: grid[keys])
+    report.design = report.design.pruned(PRUNE_WEIGHT)
+    return report
 
 
 def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
@@ -388,8 +379,8 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
           else max(10 * model.d_x, model.d_theta + 2))
     stream = SobolStream(model.d_x)
     U = stream.next(n0)
-    mus = fisher_at_points(run.jacobians(model.jacobian_batch, box.from_unit(U)),
-                           cfg.sigma_eps)
+    mus = fisher_at_points(run.timed("jacobian", model.jacobian_batch,
+                                     box.from_unit(U)), cfg.sigma_eps)
     for extra in range(MAX_INIT_RESAMPLES + 1):
         if is_invertible(mus.mean(axis=0)):
             break
@@ -397,35 +388,47 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
             raise InitializationError("initial information matrix stayed singular "
                                       "while extending the Sobol candidate set")
         u_new = stream.next(1)
-        jac_new = run.jacobians(model.jacobian_batch, box.from_unit(u_new))
+        jac_new = run.timed("jacobian", model.jacobian_batch, box.from_unit(u_new))
         U = np.vstack([U, u_new])
         mus = np.concatenate([mus, fisher_at_points(jac_new, cfg.sigma_eps)])
 
     tau, alpha, iso, params = 1.0, None, None, None
 
-    def propose(M, trace, keys, cand):
-        nonlocal tau, alpha, iso, params
-        n_iter = len(trace)
-        if progress_stop(trace):
-            return "progress"
-        U = np.array(keys)
-        phi_vals = directional_derivatives(M, cand, cfg.criterion)
-
-        t0 = time.perf_counter()
+    def _refit(U, phi_vals, n_iter):
+        """The GP refit; a singular kernel raises the noise floor."""
+        nonlocal alpha, iso, params
         if n_iter <= ALPHA_REFRESH_INITIAL or n_iter % ALPHA_REFRESH_EVERY == 0:
             alpha = select_alpha_cv(U, phi_vals, kernel=iso)
         iso = select_hypers(U, phi_vals, alpha, start=iso)
         params = select_hypers(U, phi_vals, alpha, start=params, isotropic=iso)
-        gp = _fit_surrogate(U, phi_vals, params, run.warnings)
-        run.timings.hyperparameters += time.perf_counter() - t0
+        noise = params.noise
+        for _ in range(8):
+            try:
+                # Zero-mean conditioning, not target centering: far from data
+                # the surrogate then predicts 0 ("possibly optimal"), which
+                # keeps the tau=1 acquisition exploring; centered targets
+                # would predict the candidate mean (positive after
+                # reweighting) and stall in high-D.
+                return gp_fit(U, phi_vals, KernelParams(params.signal_variance,
+                                                        params.lengthscale, noise))
+            except SingularKernelError:
+                noise = max(noise * 100.0, 1e-10)
+                run.warnings.append(
+                    f"singular surrogate kernel; noise floor raised to {noise:g}")
+        raise SingularKernelError("surrogate kernel stayed singular despite noise")
 
-        t0 = time.perf_counter()
-        u_new = minimize_acquisition(gp, tau, stream.next(N_STARTS))
-        run.timings.acquisition += time.perf_counter() - t0
-
+    def propose(M, trace, keys, cand):
+        nonlocal tau
+        if progress_stop(trace):
+            return "progress"
+        U = np.array(keys)
+        phi_vals = directional_derivatives(M, cand, cfg.criterion)
+        gp = run.timed("hyperparameters", _refit, U, phi_vals, len(trace))
+        u_new = run.timed("acquisition", minimize_acquisition, gp, tau,
+                          stream.next(N_STARTS))
         for _ in range(MAX_POINT_REJECTIONS):
             try:
-                jac_new = run.jacobians(model.jacobian, box.from_unit(u_new))
+                jac_new = run.timed("jacobian", model.jacobian, box.from_unit(u_new))
                 break
             except NonFiniteModelError as exc:
                 run.warnings.append(f"rejected non-finite point: {exc}")
