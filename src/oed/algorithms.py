@@ -1,13 +1,15 @@
 """The three design algorithms: VDM, YBT exchange and the adaptive ADA-GPR.
 
-All three run one exchange loop (:func:`_exchange`) and differ in two hooks:
-how a candidate is proposed (the grid argmin of phi, or the minimizer of a GP
-acquisition) and how the weights are updated (VDM's ``1/(n+1)`` vertex step,
-or a full re-solve). All three certify optimality through the directional
-derivative phi: the grid methods terminate once ``min phi > -epsilon`` over
-the whole grid, the adaptive algorithm by an objective-progress heuristic
-(its phi condition is certified on the candidate set only, since the
-continuous-space minimum is approximated by a GP surrogate).
+VDM (:func:`run_vdm`) runs its own loop, a running average that moves
+weight ``1/(n0 + k)`` to the grid argmin of phi. YBT and ADA-GPR share the
+re-solve loop (:func:`_exchange`): each iteration solves the convex weight
+problem on the candidates, then adds a proposal, the grid argmin of phi or
+the minimizer of a GP acquisition. All three certify optimality through the
+directional derivative phi: the grid methods terminate once
+``min phi > -epsilon`` over the whole grid, the adaptive algorithm by an
+objective-progress heuristic (its phi condition is certified on the
+candidate set only, since the continuous-space minimum is approximated by a
+GP surrogate).
 """
 
 from __future__ import annotations

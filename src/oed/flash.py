@@ -158,7 +158,7 @@ class FlashModel(ModelHandle):
                              theta_nominal.b12, theta_nominal.b21)
         super().__init__(Box([0.0, 0.5], [1.0, 5.0]), theta_nominal,
                          coord_names=["x_m", "P_bar"],
-                         output_names=["y_m_vap", "T_celsius"])
+                         output_names=["y_m_vap", "T_celsius"], n_theta=4)
         self.substances = substances
 
     def _eval_batch(self, xs, thetas):

@@ -64,13 +64,18 @@ class ModelHandle:
     ``eval`` adds one model evaluation; ``n`` Jacobians add ``n`` Jacobian
     evaluations (plus ``2 d_theta n`` model evaluations on the
     finite-difference path). Increments are lock-guarded so concurrent
-    evaluation of distinct points keeps exact counts.
+    evaluation of distinct points keeps exact counts. A model with a fixed
+    parameter count passes it as ``n_theta``, which ``theta_nominal`` must
+    match.
     """
 
     def __init__(self, bounds: Box, theta_nominal, coord_names=None,
-                 output_names=None):
+                 output_names=None, n_theta: int | None = None):
         self.bounds = bounds
         self.theta_nominal = np.asarray(theta_nominal, dtype=float).ravel()
+        if n_theta is not None and self.theta_nominal.shape[0] != n_theta:
+            raise InvalidInputError(f"theta_nominal must have {n_theta} entries, "
+                                    f"got {self.theta_nominal.shape[0]}")
         self.coord_names = (list(coord_names) if coord_names is not None
                             else [f"x{i + 1}" for i in range(bounds.dim)])
         self.output_names = list(output_names) if output_names is not None else None
@@ -153,7 +158,7 @@ class QuadraticModel(ModelHandle):
 
     def __init__(self, theta_nominal=(1.0, 1.0, 1.0)):
         super().__init__(Box([-1.0], [1.0]), theta_nominal, coord_names=["x"],
-                         output_names=["f"])
+                         output_names=["f"], n_theta=3)
 
     def _eval_batch(self, xs, thetas):
         return quadratic_model(xs[:, 0], thetas)[:, None]

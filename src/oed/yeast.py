@@ -233,7 +233,7 @@ class YeastModel(ModelHandle):
         outputs = [f"y1_t{2 * j + 2}" for j in range(10)] + \
                   [f"y2_t{2 * j + 2}" for j in range(10)]
         super().__init__(Box(YEAST_LOWER, YEAST_UPPER), theta_nominal,
-                         coord_names=names, output_names=outputs)
+                         coord_names=names, output_names=outputs, n_theta=4)
         self.y2_0 = y2_0
         self.substrate_form = substrate_form
 

@@ -3,7 +3,15 @@
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from oed.exceptions import InvalidInputError, SingularKernelError
+from oed.algorithms import MAX_INIT_RESAMPLES
+from oed.designs import (
+    criterion_value,
+    directional_derivatives,
+    fisher_at_points,
+    information_matrix,
+    is_invertible,
+)
+from oed.exceptions import InitializationError, InvalidInputError, SingularKernelError
 from oed.flash import T_BRACKET_K, _bubble_residual, _vapor_fraction
 from oed.gp import (
     ALPHA_GRID,
@@ -97,3 +105,47 @@ def alpha_cv_by_refits(X, y, kernel=None):
         if total / n <= best_mse:
             best_alpha, best_mse = alpha, total / n
     return best_alpha
+
+
+def vdm_by_stack(model, grid, cfg):
+    """VDM with a candidate stack grown by one Fisher matrix per new point.
+
+    The same random start as the package draws; iteration k moves weight
+    ``1/(n0 + k)`` to the phi-minimizing grid point, merged by position into
+    a re-selected point, and the weights are normalized once at the end.
+    Returns the support points, weights, objective trace and the final
+    information matrix.
+    """
+    grid = np.asarray(grid, dtype=float)
+    mus = fisher_at_points(model.jacobian_batch(grid), cfg.sigma_eps)
+    n0 = cfg.n_initial if cfg.n_initial is not None else model.d_theta + 1
+    rng = np.random.default_rng(cfg.rng_seed)
+    for _ in range(MAX_INIT_RESAMPLES):
+        idx0 = np.sort(rng.choice(grid.shape[0], size=n0, replace=False))
+        if is_invertible(mus[idx0].mean(axis=0)):
+            break
+    else:
+        raise InitializationError("no invertible initial information matrix")
+    keys, cand = idx0.tolist(), mus[idx0]
+    position = {key: i for i, key in enumerate(keys)}
+    w = np.full(n0, 1.0 / n0)
+    M = cand.mean(axis=0)
+    trace = []
+    for k in range(1, cfg.max_iterations + 1):
+        trace.append(criterion_value(M, cfg.criterion))
+        phi = directional_derivatives(M, mus, cfg.criterion)
+        j = int(np.argmin(phi))
+        if phi[j] > -cfg.epsilon:
+            break
+        alpha = 1.0 / (n0 + k)
+        w *= 1.0 - alpha
+        M = (1.0 - alpha) * M + alpha * mus[j]
+        if j in position:
+            w[position[j]] += alpha
+            continue
+        position[j] = len(keys)
+        w = np.append(w, alpha)
+        keys.append(j)
+        cand = np.concatenate([cand, mus[j][None]])
+    w = w / w.sum()
+    return grid[keys], w, np.asarray(trace), information_matrix(w, cand)

@@ -25,6 +25,7 @@ from oed.flash import methanol_water_flash
 from oed.models import Box, QuadraticModel
 from oed.runner import run_problem
 from oed.weights import optimize_weights
+from oracles import vdm_by_stack
 
 GRID_201 = np.linspace(-1.0, 1.0, 201)[:, None]
 
@@ -136,6 +137,21 @@ class TestRunVdm:
             assert np.allclose(w, 0.2)
         else:  # argmin hit an initial point and merged
             assert np.allclose(w, [0.2, 0.2, 0.2, 0.4])
+
+    @pytest.mark.parametrize("build, grid, cfg, termination", [
+        (QuadraticModel, GRID_201, AlgoConfig(rng_seed=0), "epsilon"),
+        (methanol_water_flash, flash_grid(),
+         AlgoConfig(rng_seed=5, max_iterations=2000), "max_iterations"),
+    ], ids=["quadratic", "flash-water"])
+    def test_bit_for_bit_against_the_grown_stack(self, build, grid, cfg,
+                                                 termination):
+        report = run_vdm(build(), grid, cfg)
+        points, weights, trace, M = vdm_by_stack(build(), grid, cfg)
+        assert report.termination == termination
+        assert np.array_equal(report.design.points, points)
+        assert np.array_equal(report.design.weights, weights)
+        assert np.array_equal(report.objective_trace, trace)
+        assert np.array_equal(report.information_matrix, M)
 
     def test_no_duplicate_support_points(self):
         report = run_vdm(QuadraticModel(), GRID_201,

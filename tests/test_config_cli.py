@@ -15,7 +15,8 @@ from oed.config import (
     load_problem,
 )
 from oed.designs import Criterion, Design
-from oed.exceptions import ConfigError
+from oed.exceptions import ConfigError, InvalidInputError
+from oed.flash import METHANOL, WATER, FlashModel
 from oed.report import emit_report, summary_objective
 from oed.runner import run_and_emit, run_problem
 
@@ -50,6 +51,11 @@ BAD_YEAST_OPTION = {"model": "yeast", "algorithm": "adagpr", "n_initial": 200,
                     "model_options": {"substrate_from": "classical"}}
 BAD_FLASH_OPTION = dict(MINIMAL_FLASH_ADAGPR,
                         model_options={"theta_nominal": [0.0, 0.0, 0.0, 0.0]})
+
+# A nominal parameter vector one entry short: the quadratic takes 3, yeast 4.
+SHORT_QUADRATIC_THETA = dict(QUADRATIC_YBT, model_options={"theta_nominal": [1.0, 1.0]})
+SHORT_YEAST_THETA = {"model": "yeast", "algorithm": "adagpr", "n_initial": 200,
+                     "model_options": {"theta_nominal": [0.5, 0.5, 0.5]}}
 
 
 class TestGridFromLevels:
@@ -313,6 +319,25 @@ class TestCli:
         assert main(["check", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.count(f"{key} must be") == 2
+
+    @pytest.mark.parametrize("payload, message", [
+        (SHORT_QUADRATIC_THETA, "theta_nominal must have 3 entries, got 2"),
+        (SHORT_YEAST_THETA, "theta_nominal must have 4 entries, got 3"),
+    ], ids=["quadratic", "yeast"])
+    def test_theta_nominal_of_the_wrong_length_exits_2(self, tmp_path, capsys,
+                                                       payload, message):
+        # check refuses the file, and run stops before the algorithm starts
+        # instead of designing for the wrong parameter count.
+        path = write_config(tmp_path, payload)
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+
+    def test_flash_theta_nominal_of_the_wrong_length_rejected(self):
+        # Flash problem files take no model options, so the constructor is
+        # the one place a wrong-length NRTL vector can enter.
+        with pytest.raises(InvalidInputError, match="must have 4 entries, got 3"):
+            FlashModel((METHANOL, WATER), (1.0, 2.0, 3.0))
 
     def test_whole_floats_accepted_as_integers(self, tmp_path):
         path = write_config(tmp_path, dict(QUADRATIC_YBT, n_initial=4.0, seed=2.0,
