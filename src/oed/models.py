@@ -66,7 +66,7 @@ class ModelHandle:
     finite-difference path). Increments are lock-guarded so concurrent
     evaluation of distinct points keeps exact counts. A model with a fixed
     parameter count passes it as ``n_theta``, which ``theta_nominal`` must
-    match.
+    match; ``theta_nominal`` must be finite.
     """
 
     def __init__(self, bounds: Box, theta_nominal, coord_names=None,
@@ -76,6 +76,8 @@ class ModelHandle:
         if n_theta is not None and self.theta_nominal.shape[0] != n_theta:
             raise InvalidInputError(f"theta_nominal must have {n_theta} entries, "
                                     f"got {self.theta_nominal.shape[0]}")
+        if not np.isfinite(self.theta_nominal).all():
+            raise InvalidInputError(f"theta_nominal must be finite, got {self.theta_nominal}")
         self.coord_names = (list(coord_names) if coord_names is not None
                             else [f"x{i + 1}" for i in range(bounds.dim)])
         self.output_names = list(output_names) if output_names is not None else None

@@ -23,9 +23,16 @@ therefore the exact derivative of the discrete RK4 map (central differences
 agree to within a few 1e-7 of each row's largest entry). ``YeastModel``
 evaluates through ``simulate_batch`` and overrides only ``jacobian_batch``;
 ``oed.models.fd_jacobian`` still gives the central-difference reference.
+
+The right-hand sides and the RK4 step are written once, as plain
+expressions on a list of rows: one array per state row for a batch, and
+float64 scalars for a single point, which skip numpy's per-call cost and
+round the same. The step is the textbook ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -54,19 +61,27 @@ def _check_step(h: float) -> tuple[int, int, int]:
     return per_sample, per_piece, total
 
 
-def _rhs(state, theta, u1, u2, as_printed: bool) -> np.ndarray:
-    """The model's right-hand side d(y1, y2)/dt for a (2, n) state."""
-    b, s = state
+def _rows(a: np.ndarray) -> list:
+    """The rows of a (rows, n) array: float64 scalars for one column, array
+    rows otherwise. Both run the same IEEE operations, so they round alike;
+    the scalars skip numpy's per-call cost."""
+    return list(a[:, 0]) if a.shape[1] == 1 else list(a)
+
+
+def _rhs(y, theta, u1, u2, as_printed: bool) -> list:
+    """The model's right-hand side d(y1, y2)/dt on the rows (y1, y2)."""
+    b, s = y
     th1, th2, th3, th4 = theta
     r = th1 * s / (th2 + s)
     db = (r - u1 - th4) * b
     consumption = r * (u1 if as_printed else b) / th3
     ds = -consumption + u1 * (u2 - s)
-    return np.array([db, ds])
+    return [db, ds]
 
 
-def _sensitivity_rhs(z, theta, u1, u2, as_printed: bool) -> np.ndarray:
-    """Right-hand side for the (10, n) stack (y1, y2, dy1/dtheta, dy2/dtheta).
+def _sensitivity_rhs(z, theta, u1, u2, as_printed: bool) -> list:
+    """Right-hand side on the ten rows (y1, y2, dy1/dtheta, dy2/dtheta), each
+    an array over a batch or a float64 scalar for one point.
 
     The state rows are the model's right-hand side f; the sensitivity rows
     are d/dt dy/dtheta = f_y dy/dtheta + f_theta, built row by row of f_y.
@@ -83,79 +98,64 @@ def _sensitivity_rhs(z, theta, u1, u2, as_printed: bool) -> np.ndarray:
     r_theta2 = -r / den                  # dr/dtheta2
     r_s = (th1 - r) / den                # dr/dy2
     g = (u1 if as_printed else b) / th3  # the consumption term is r * g
-    dz = np.empty_like(z)
-    dz[:2] = _rhs(z[:2], theta, u1, u2, as_printed)
-    dsb, dss = dz[2:6], dz[6:10]
-    # f_y = [[r - u1 - theta4, r_s y1], [-r / theta3 (classical only), -r_s g - u1]]
-    np.multiply(r - u1 - th4, sb, out=dsb)
-    dsb += (r_s * b) * ss
-    np.multiply(-(r_s * g) - u1, ss, out=dss)
+    # f_y = [[f_bb, f_bs], [f_sb (classical only), f_ss]]
+    f_bb, f_bs, f_ss = r - u1 - th4, r_s * b, -(r_s * g) - u1
+    dsb = [f_bb * sb_j + f_bs * ss_j for sb_j, ss_j in zip(sb, ss)]
+    dss = [f_ss * ss_j for ss_j in ss]
     if not as_printed:
-        dss -= (r / th3) * sb
+        f_sb = r / th3
+        dss = [d - f_sb * sb_j for d, sb_j in zip(dss, sb)]
     # f_theta = [[q y1, r_theta2 y1, 0, -y1], [-q g, -r_theta2 g, r g / theta3, 0]]
-    dsb[0] += q * b
-    dsb[1] += r_theta2 * b
-    dsb[3] -= b
-    dss[0] -= q * g
-    dss[1] -= r_theta2 * g
-    dss[2] += r * g / th3
-    return dz
+    return [*_rhs((b, s), theta, u1, u2, as_printed),
+            dsb[0] + q * b, dsb[1] + r_theta2 * b, dsb[2], dsb[3] - b,
+            dss[0] - q * g, dss[1] - r_theta2 * g, dss[2] + r * g / th3, dss[3]]
 
 
-def _integrate(rhs, state, xs, step: float) -> np.ndarray:
-    """Fixed-step RK4 of dz/dt = rhs(z, u1, u2) under the controls of ``xs``.
+def _integrate(rhs, y0: np.ndarray, xs: np.ndarray, theta, as_printed: bool,
+               h: float) -> np.ndarray:
+    """Fixed-step RK4 of dy/dt = rhs(y, theta, u1, u2, as_printed) under the
+    controls of ``xs``.
 
-    ``state`` is (rows, n), one column per design point. Returns the states
-    at the ten sample times t = 2, 4, ..., 20 h, shape (10, rows, n).
+    ``y0`` is (rows, n), one column per design point. Returns the states at
+    the ten sample times t = 2, 4, ..., 20 h, shape (10, rows, n).
     """
-    per_sample, per_piece, total = _check_step(step)
-    samples = np.empty((total // per_sample,) + state.shape)
-    state = state.copy()
-    stage = np.empty_like(state)
-    h = step
+    per_sample, per_piece, total = _check_step(h)
+    y = _rows(y0)
+    controls = _rows(np.ascontiguousarray(xs.T))
+    samples = []
     # Overflow/zero-division in the RHS is legal input behavior (e.g. a Monod
     # denominator crossing zero); the finiteness check below turns it into a
     # typed error, so silence the intermediate numpy warnings.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(total):
             piece = min(k // per_piece, 4)
-            u1 = xs[:, 1 + piece]
-            u2 = xs[:, 6 + piece]
-            # Updated in place, in the operation order of state + h/6 (k1 +
-            # 2 k2 + 2 k3 + k4) and of the stage states state + h/2 k1,
-            # state + h/2 k2, state + h k3, so results equal that formula's
-            # bit for bit.
-            k1 = rhs(state, u1, u2)
-            np.multiply(k1, 0.5 * h, out=stage)
-            stage += state
-            k2 = rhs(stage, u1, u2)
-            np.multiply(k2, 0.5 * h, out=stage)
-            stage += state
-            k3 = rhs(stage, u1, u2)
-            np.multiply(k3, h, out=stage)
-            stage += state
-            k4 = rhs(stage, u1, u2)
-            k2 *= 2.0
-            k3 *= 2.0
-            k1 += k2
-            k1 += k3
-            k1 += k4
-            k1 *= h / 6.0
-            state += k1
-            if not np.isfinite(state).all():
+            args = (theta, controls[1 + piece], controls[6 + piece], as_printed)
+            a = rhs(y, *args)
+            b = rhs([yi + 0.5 * h * ai for yi, ai in zip(y, a)], *args)
+            c = rhs([yi + 0.5 * h * bi for yi, bi in zip(y, b)], *args)
+            d = rhs([yi + h * ci for yi, ci in zip(y, c)], *args)
+            y = [yi + h / 6.0 * (ai + 2.0 * bi + 2.0 * ci + di)
+                 for yi, ai, bi, ci, di in zip(y, a, b, c, d)]
+            if not np.isfinite(y).all():
                 raise NonFiniteModelError(
-                    f"yeast state became non-finite at t={(k + 1) * h:.1f} h"
+                    f"yeast state became non-finite at t={(k + 1) * h:g} h"
                 )
             if (k + 1) % per_sample == 0:
-                samples[(k + 1) // per_sample - 1] = state
-    return samples
+                samples.append(y)
+    return np.array(samples).reshape(len(samples), len(y), xs.shape[0])
 
 
-def _check_inputs(xs, substrate_form: str) -> np.ndarray:
+def _as_printed(substrate_form: str) -> bool:
+    """Whether ``substrate_form`` names the printed consumption term; any
+    name outside ``SUBSTRATE_FORMS`` is rejected."""
     if substrate_form not in SUBSTRATE_FORMS:
         raise InvalidInputError(
             f"substrate_form must be one of {SUBSTRATE_FORMS}, got {substrate_form!r}"
         )
+    return substrate_form == "as-printed"
+
+
+def _check_inputs(xs) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != 11:
         raise InvalidInputError(f"design points must have 11 coordinates, got {xs.shape[1]}")
@@ -167,7 +167,8 @@ def simulate_batch(xs, thetas, *, y2_0: float = DEFAULT_Y2_0,
                    step: float = DEFAULT_STEP_H) -> np.ndarray:
     """Vectorized simulation: (m, 11) inputs x (m, 4) thetas (or one theta row)
     -> (m, 20) outputs, y1 at t = 2, 4, ..., 20 h then y2."""
-    xs = _check_inputs(xs, substrate_form)
+    as_printed = _as_printed(substrate_form)
+    xs = _check_inputs(xs)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != 4:
         raise InvalidInputError(f"expected 4 model parameters, got {thetas.shape[1]}")
@@ -175,14 +176,8 @@ def simulate_batch(xs, thetas, *, y2_0: float = DEFAULT_Y2_0,
         thetas = np.broadcast_to(thetas, (xs.shape[0], 4))
     if xs.shape[0] != thetas.shape[0]:
         raise InvalidInputError("xs and thetas batch sizes differ")
-    as_printed = substrate_form == "as-printed"
-    theta = tuple(thetas.T)
-
-    def rhs(state, u1, u2):
-        return _rhs(state, theta, u1, u2, as_printed)
-
-    state = np.array([xs[:, 0], np.full(xs.shape[0], y2_0)])
-    samples = _integrate(rhs, state, xs, step)      # (10, 2, m)
+    y0 = np.array([xs[:, 0], np.full(xs.shape[0], y2_0)])
+    samples = _integrate(_rhs, y0, xs, _rows(thetas.T), as_printed, step)  # (10, 2, m)
     return samples.transpose(2, 1, 0).reshape(xs.shape[0], 20)
 
 
@@ -195,20 +190,14 @@ def sensitivity_batch(xs, theta, *, y2_0: float = DEFAULT_Y2_0,
     the same RK4 stages as :func:`simulate_batch`, so the result is the
     derivative of the discrete RK4 map, not of the continuous ODE.
     """
-    xs = _check_inputs(xs, substrate_form)
+    as_printed = _as_printed(substrate_form)
+    xs = _check_inputs(xs)
     theta = tuple(float(t) for t in np.asarray(theta, dtype=float).ravel())
     if len(theta) != 4:
         raise InvalidInputError(f"expected 4 model parameters, got {len(theta)}")
-    as_printed = substrate_form == "as-printed"
-
-    def rhs(z, u1, u2):
-        return _sensitivity_rhs(z, theta, u1, u2, as_printed)
-
     n = xs.shape[0]
-    z = np.zeros((10, n))
-    z[0] = xs[:, 0]
-    z[1] = y2_0
-    samples = _integrate(rhs, z, xs, step)[:, 2:]   # (10, 8, n)
+    z0 = np.vstack([xs[:, 0], np.full(n, y2_0), np.zeros((8, n))])
+    samples = _integrate(_sensitivity_rhs, z0, xs, theta, as_printed, step)[:, 2:]
     # rows (output y1|y2, theta) -> (n, theta, output, sample time)
     return samples.reshape(10, 2, 4, n).transpose(3, 2, 1, 0).reshape(n, 4, 20)
 
@@ -224,10 +213,10 @@ class YeastModel(ModelHandle):
 
     def __init__(self, theta_nominal=(0.5, 0.5, 0.5, 0.5),
                  y2_0: float = DEFAULT_Y2_0, substrate_form: str = "as-printed"):
-        if substrate_form not in SUBSTRATE_FORMS:
-            raise InvalidInputError(
-                f"substrate_form must be one of {SUBSTRATE_FORMS}, got {substrate_form!r}"
-            )
+        _as_printed(substrate_form)
+        if (isinstance(y2_0, bool) or not isinstance(y2_0, numbers.Real)
+                or not 0.0 <= y2_0 < np.inf):
+            raise InvalidInputError(f"y2_0 must be a finite number >= 0, got {y2_0!r}")
         names = (["y1_0"] + [f"u1{j}" for j in range(5)]
                  + [f"u2{j}" for j in range(5)])
         outputs = [f"y1_t{2 * j + 2}" for j in range(10)] + \

@@ -57,7 +57,6 @@ SHORT_QUADRATIC_THETA = dict(QUADRATIC_YBT, model_options={"theta_nominal": [1.0
 SHORT_YEAST_THETA = {"model": "yeast", "algorithm": "adagpr", "n_initial": 200,
                      "model_options": {"theta_nominal": [0.5, 0.5, 0.5]}}
 
-
 class TestGridFromLevels:
     def test_product_expansion(self):
         grid = grid_from_levels([[0.0, 1.0], [5.0, 6.0, 7.0]])
@@ -328,6 +327,24 @@ class TestCli:
                                                        payload, message):
         # check refuses the file, and run stops before the algorithm starts
         # instead of designing for the wrong parameter count.
+        path = write_config(tmp_path, payload)
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(SHORT_YEAST_THETA, model_options={"theta_nominal": [float("nan"), 0.5, 0.5, 0.5]}),
+         "theta_nominal must be finite"),
+        (dict(QUADRATIC_YBT, model_options={"theta_nominal": [float("inf"), 1.0, 1.0]}),
+         "theta_nominal must be finite"),
+        *((dict(SHORT_YEAST_THETA, model_options={"y2_0": y2_0}), "y2_0 must be a finite")
+          for y2_0 in ("abc", float("nan"), -1.0, True)),
+    ], ids=["yeast-nan-theta", "quadratic-inf-theta", "y2_0-string", "y2_0-nan",
+            "y2_0-negative", "y2_0-bool"])
+    def test_model_options_the_model_cannot_use_exit_2(self, tmp_path, capsys,
+                                                       payload, message):
+        # A non-finite theta_nominal, and a y2_0 that is not a finite real
+        # number >= 0 (a bool is not taken as one).
         path = write_config(tmp_path, payload)
         assert main(["check", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2

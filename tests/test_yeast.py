@@ -5,7 +5,7 @@ from oed.bench import yeast_grid
 from oed.exceptions import InvalidInputError, NonFiniteModelError
 from oed.models import fd_jacobian
 from oed.yeast import DEFAULT_STEP_H, YeastModel, simulate_batch
-from oracles import control_at, rk4_step
+from oracles import control_at, rk4_step, sensitivity_by_stack
 
 X_REF = np.array([5.0, 0.1, 0.2, 0.05, 0.15, 0.1, 10.0, 30.0, 5.0, 20.0, 35.0])
 THETA_REF = np.array([0.5, 0.5, 0.5, 0.5])
@@ -124,8 +124,9 @@ class TestYeastSimulate:
             simulate_batch(X_REF, THETA_REF, step=0.3)
 
     def test_non_finite_state_detected(self):
-        # theta2 < 0 puts the Monod denominator through zero.
-        with pytest.raises(NonFiniteModelError):
+        # theta2 < 0 puts the Monod denominator through zero in the first
+        # step, which ends at t = 0.025 h.
+        with pytest.raises(NonFiniteModelError, match=r"non-finite at t=0\.025 h$"):
             simulate_batch(X_REF, np.array([0.5, -0.1, 0.5, 0.5]))
 
 
@@ -150,7 +151,22 @@ class TestYeastModel:
         xs = rng.uniform(model.bounds.lower, model.bounds.upper, size=(5, 11))
         batch = model.jacobian_batch(xs)
         for x, J in zip(xs, batch):
-            np.testing.assert_allclose(model.jacobian(x), J, rtol=1e-13, atol=0)
+            assert np.array_equal(model.jacobian(x), J)
+
+    @pytest.mark.parametrize("form", ["as-printed", "classical"])
+    def test_bit_for_bit_against_the_in_place_stack(self, form):
+        # 512 grid rows and 256 random points as one batch (array rows), and
+        # 20 of the random points one at a time (float64 scalar rows).
+        rng = np.random.default_rng(4)
+        grid = yeast_grid()
+        model = YeastModel(substrate_form=form)
+        lower, upper = model.bounds.lower, model.bounds.upper
+        xs = np.vstack([grid[rng.choice(grid.shape[0], 512, replace=False)],
+                        rng.uniform(lower, upper, size=(256, 11))])
+        oracle = sensitivity_by_stack(xs, model.theta_nominal, substrate_form=form)
+        assert np.array_equal(model.jacobian_batch(xs), oracle)
+        for i in range(512, 532):
+            assert np.array_equal(model.jacobian(xs[i]), oracle[i])
 
     def test_zero_dilution_oracle(self):
         # With u1 = 0 (as printed) the substrate stays at y2_0, so
@@ -173,7 +189,7 @@ class TestYeastModel:
     def test_jacobian_non_finite_state_detected(self):
         # theta2 < 0 puts the Monod denominator through zero.
         model = YeastModel(theta_nominal=(0.5, -0.1, 0.5, 0.5))
-        with pytest.raises(NonFiniteModelError):
+        with pytest.raises(NonFiniteModelError, match=r"non-finite at t=0\.025 h$"):
             model.jacobian(X_REF)
 
     def test_jacobian_shape_and_counters(self):
