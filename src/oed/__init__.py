@@ -9,7 +9,6 @@ and a Bayesian-optimization-style acquisition.
 from .algorithms import (
     AlgoConfig,
     AlgoReport,
-    TimingBreakdown,
     cluster_design,
     next_tau,
     progress_stop,
@@ -52,7 +51,7 @@ from .gp import (
 )
 from .models import Box, ModelHandle, QuadraticModel, fd_jacobian, quadratic_model
 from .report import emit_report, summary_objective
-from .runner import run_and_emit, run_problem
+from .runner import run_and_emit
 from .weights import WeightSolution, optimize_weights
 
 __version__ = "0.1.0"

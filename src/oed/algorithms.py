@@ -58,6 +58,8 @@ N_STARTS = 10
 ALPHA_REFRESH_INITIAL = 10
 ALPHA_REFRESH_EVERY = 10
 MAX_POINT_REJECTIONS = 50
+# Timing buckets of a run; a report's timings add "total", the run's wall time.
+BUCKETS = ("jacobian", "weights", "acquisition", "hyperparameters")
 
 
 @dataclass
@@ -92,15 +94,6 @@ class AlgoConfig:
 
 
 @dataclass
-class TimingBreakdown:
-    jacobian: float = 0.0
-    weights: float = 0.0
-    acquisition: float = 0.0
-    hyperparameters: float = 0.0
-    total: float = 0.0
-
-
-@dataclass
 class AlgoReport:
     """Run record: final design, objective trace and bookkeeping.
 
@@ -108,7 +101,8 @@ class AlgoReport:
     0.001 as the tables do); ``clustered_design`` additionally merges nearby
     support points. ``objective`` and ``information_matrix`` refer to the
     unpruned final iterate. The trace holds the minimized criterion value per
-    iteration.
+    iteration. ``jacobian_evals`` counts the model Jacobians the run asked
+    for; ``timings`` maps each of ``BUCKETS`` and ``"total"`` to seconds.
     """
 
     design: Design
@@ -117,7 +111,7 @@ class AlgoReport:
     objective_trace: np.ndarray
     iterations: int
     jacobian_evals: int
-    timings: TimingBreakdown
+    timings: dict
     termination: str
     criterion: Criterion
     information_matrix: np.ndarray
@@ -151,14 +145,16 @@ def cluster_design(design: Design, box=None) -> Design:
     Weights below 0.001 are dropped first; each cluster becomes the plain mean
     of its members with the summed weight, and weights are renormalized.
     Distances are measured in unit-cube coordinates when ``box`` is given
-    (the radius is specified on that scale).
+    (the radius is specified on that scale). "Closer" holds beyond rounding:
+    two points one radius apart, such as neighbours on a grid of that step,
+    never merge, whichever way their difference rounds.
     """
     pruned = design.pruned(PRUNE_WEIGHT)
     pts = pruned.points
     if pts.shape[0] == 1:
         return pruned
     coords = box.to_unit(pts) if box is not None else pts
-    adjacency = squareform(pdist(coords) < CLUSTER_RADIUS).astype(np.int8)
+    adjacency = squareform(pdist(coords) < CLUSTER_RADIUS * (1 - 1e-9)).astype(np.int8)
     np.fill_diagonal(adjacency, 1)
     n_comp, labels = connected_components(adjacency, directed=False)
     centers = np.empty((n_comp, pts.shape[1]))
@@ -204,14 +200,15 @@ def check_inputs(model: ModelHandle, cfg: AlgoConfig, grid=None):
 
 
 class _Run:
-    """The one run recorder: bucket timings, warnings, Jacobians and report."""
+    """The one run recorder: it counts the model Jacobians the run asks for,
+    times every bucket, collects warnings and builds the report."""
 
     def __init__(self, model: ModelHandle):
         self.model = model
-        self.timings = TimingBreakdown()
+        self.timings = dict.fromkeys(BUCKETS, 0.0)
+        self.jacobian_evals = 0
         self.warnings: list = []
         self.t_start = time.perf_counter()
-        self.jac_before = model.n_jacobian_evals
 
     def timed(self, bucket: str, fn, *args, **kwargs):
         """``fn(*args, **kwargs)``, its time added to the ``bucket`` timing."""
@@ -219,20 +216,26 @@ class _Run:
         try:
             return fn(*args, **kwargs)
         finally:
-            setattr(self.timings, bucket,
-                    getattr(self.timings, bucket) + time.perf_counter() - t0)
+            self.timings[bucket] += time.perf_counter() - t0
+
+    def jacobians(self, points) -> np.ndarray:
+        """The model's Jacobians at the rows of ``points``, timed and counted;
+        a call that raises counts nothing."""
+        jac = self.timed("jacobian", self.model.jacobian_batch, points)
+        self.jacobian_evals += jac.shape[0]
+        return jac
 
     def report(self, cfg: AlgoConfig, design: Design, M: np.ndarray, trace,
                termination: str) -> AlgoReport:
         """The report on the final ``design``, whose information matrix is ``M``."""
-        self.timings.total = time.perf_counter() - self.t_start
+        self.timings["total"] = time.perf_counter() - self.t_start
         return AlgoReport(
             design=design,
             clustered_design=cluster_design(design, box=self.model.bounds),
             objective=criterion_value(M, cfg.criterion),
             objective_trace=np.asarray(trace),
             iterations=len(trace),
-            jacobian_evals=self.model.n_jacobian_evals - self.jac_before,
+            jacobian_evals=self.jacobian_evals,
             timings=self.timings,
             termination=termination,
             criterion=cfg.criterion,
@@ -288,8 +291,7 @@ def _grid_start(model: ModelHandle, grid, cfg: AlgoConfig):
     grid point ``(j, mus[j])`` or ``"epsilon"``."""
     grid = check_inputs(model, cfg, grid)
     run = _Run(model)
-    mus = fisher_at_points(run.timed("jacobian", model.jacobian_batch, grid),
-                           cfg.sigma_eps)
+    mus = fisher_at_points(run.jacobians(grid), cfg.sigma_eps)
     n0 = cfg.n_initial if cfg.n_initial is not None else model.d_theta + 1
     rng = np.random.default_rng(cfg.rng_seed)
     for _ in range(MAX_INIT_RESAMPLES):
@@ -381,8 +383,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
           else max(10 * model.d_x, model.d_theta + 2))
     stream = SobolStream(model.d_x)
     U = stream.next(n0)
-    mus = fisher_at_points(run.timed("jacobian", model.jacobian_batch,
-                                     box.from_unit(U)), cfg.sigma_eps)
+    mus = fisher_at_points(run.jacobians(box.from_unit(U)), cfg.sigma_eps)
     for extra in range(MAX_INIT_RESAMPLES + 1):
         if is_invertible(mus.mean(axis=0)):
             break
@@ -390,7 +391,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
             raise InitializationError("initial information matrix stayed singular "
                                       "while extending the Sobol candidate set")
         u_new = stream.next(1)
-        jac_new = run.timed("jacobian", model.jacobian_batch, box.from_unit(u_new))
+        jac_new = run.jacobians(box.from_unit(u_new))
         U = np.vstack([U, u_new])
         mus = np.concatenate([mus, fisher_at_points(jac_new, cfg.sigma_eps)])
 
@@ -430,7 +431,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
                           stream.next(N_STARTS))
         for _ in range(MAX_POINT_REJECTIONS):
             try:
-                jac_new = run.timed("jacobian", model.jacobian, box.from_unit(u_new))
+                jac_new = run.jacobians(box.from_unit(u_new)[None])[0]
                 break
             except NonFiniteModelError as exc:
                 run.warnings.append(f"rejected non-finite point: {exc}")

@@ -3,13 +3,12 @@
 A :class:`ModelHandle` evaluates ``f(x, theta)`` on a box-bounded design space
 through one vectorized hook and exposes Jacobians with respect to the
 parameters: central differences of that hook, unless the model overrides
-``jacobian_batch`` with exact derivatives. Evaluation counters back the
-per-run bookkeeping that reports compare against.
+``jacobian_batch`` with exact derivatives. Models keep no counts: a run
+counts the Jacobians it asks for.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +55,11 @@ class Box:
 
 
 class ModelHandle:
-    """Base forward model with eval/jacobian counters.
+    """Base forward model.
 
     Subclasses implement ``_eval_batch(xs, thetas) -> (n, d_y)`` (rows of
     ``xs`` paired with rows of ``thetas``; deterministic, pure) and may
-    override ``jacobian_batch`` with exact derivatives. Counter contract:
-    ``eval`` adds one model evaluation; ``n`` Jacobians add ``n`` Jacobian
-    evaluations (plus ``2 d_theta n`` model evaluations on the
-    finite-difference path). Increments are lock-guarded so concurrent
-    evaluation of distinct points keeps exact counts. A model with a fixed
+    override ``jacobian_batch`` with exact derivatives. A model with a fixed
     parameter count passes it as ``n_theta``, which ``theta_nominal`` must
     match; ``theta_nominal`` must be finite.
     """
@@ -81,9 +76,6 @@ class ModelHandle:
         self.coord_names = (list(coord_names) if coord_names is not None
                             else [f"x{i + 1}" for i in range(bounds.dim)])
         self.output_names = list(output_names) if output_names is not None else None
-        self.n_evals = 0
-        self.n_jacobian_evals = 0
-        self._count_lock = threading.Lock()
 
     @property
     def d_x(self) -> int:
@@ -93,15 +85,9 @@ class ModelHandle:
     def d_theta(self) -> int:
         return self.theta_nominal.shape[0]
 
-    def _bump(self, evals=0, jacobians=0):
-        with self._count_lock:
-            self.n_evals += evals
-            self.n_jacobian_evals += jacobians
-
     def eval(self, x, theta=None) -> np.ndarray:
         """Evaluate f(x, theta); theta defaults to the nominal estimate."""
         theta = self.theta_nominal if theta is None else np.asarray(theta, float)
-        self._bump(evals=1)
         return self._eval_batch(np.asarray(x, float).reshape(1, -1),
                                 theta.reshape(1, -1))[0]
 
@@ -129,7 +115,6 @@ class ModelHandle:
         if not finite.all():
             raise NonFiniteModelError(f"model returned non-finite output in "
                                       f"central differences at x={xs[~finite][0]}")
-        self._bump(evals=2 * d * n, jacobians=n)
         return (out[:, :d, :] - out[:, d:, :]) / (2.0 * h)[None, :, None]
 
 
@@ -166,6 +151,4 @@ class QuadraticModel(ModelHandle):
         return quadratic_model(xs[:, 0], thetas)[:, None]
 
     def jacobian_batch(self, xs) -> np.ndarray:
-        jac = quadratic_jacobian(xs)
-        self._bump(jacobians=jac.shape[0])
-        return jac
+        return quadratic_jacobian(xs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +80,7 @@ def emit_report(report: AlgoReport, out_dir, coord_names=None,
             "jacobian_evaluations": report.jacobian_evals,
             "termination": report.termination,
             "n_support": int(design.n_points),
-            "timings": asdict(report.timings),
+            "timings": report.timings,
             "warnings": list(report.warnings),
             "environment": _environment(),
         }

@@ -17,11 +17,6 @@ def _run(config: ProblemConfig, model: ModelHandle) -> AlgoReport:
     return run_adagpr(model, algo_cfg)
 
 
-def run_problem(config: ProblemConfig) -> AlgoReport:
-    """Build the model, run the configured algorithm and return its report."""
-    return _run(config, config.build_model())
-
-
 def run_and_emit(config: ProblemConfig, out_dir):
     """Run the problem and write its report files; returns (report, paths)."""
     model = config.build_model()

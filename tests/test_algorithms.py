@@ -20,10 +20,10 @@ from oed.designs import (
     fisher_at_points,
     information_matrix,
 )
-from oed.exceptions import InitializationError, InvalidInputError
+from oed.exceptions import InitializationError, InvalidInputError, NonFiniteModelError
 from oed.flash import methanol_water_flash
-from oed.models import Box, QuadraticModel
-from oed.runner import run_problem
+from oed.models import Box, ModelHandle, QuadraticModel, quadratic_model
+from oed.runner import _run
 from oed.weights import optimize_weights
 from oracles import vdm_by_stack
 
@@ -104,6 +104,14 @@ class TestClusterDesign:
         assert cluster_design(design, box=box).n_points == 1
         assert cluster_design(design).n_points == 2
 
+    def test_grid_neighbours_one_radius_apart_cluster_alike(self):
+        # 0.03 - 0.02 rounds below 0.01 and 0.31 - 0.30 above it; both pairs
+        # are one flash-grid step, exactly the radius, apart.
+        box = Box([0.0, 0.5], [1.0, 5.0])
+        for x in ((0.02, 0.03), (0.30, 0.31)):
+            design = Design([[x[0], 5.0], [x[1], 5.0]], [0.5, 0.5])
+            assert cluster_design(design, box=box).n_points == 2
+
     def test_weights_renormalized(self):
         design = Design([[0.0], [0.3], [0.7]], [0.5, 0.4995, 0.0005])
         merged = cluster_design(design)
@@ -161,12 +169,10 @@ class TestRunVdm:
         assert len(np.unique(pts)) == len(pts)
 
     def test_jacobian_count_equals_grid_size(self):
-        model = QuadraticModel()
-        report = run_vdm(model, GRID_201,
+        report = run_vdm(QuadraticModel(), GRID_201,
                          AlgoConfig(criterion=Criterion.LOGD, rng_seed=0,
                                     max_iterations=5))
         assert report.jacobian_evals == GRID_201.shape[0]
-        assert model.n_jacobian_evals == report.jacobian_evals
 
     def test_trace_length_equals_iterations(self):
         report = run_vdm(QuadraticModel(), GRID_201,
@@ -243,7 +249,7 @@ class TestRunYbt:
                       if c.algorithm == "ybt")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run_problem(config)
+            report = _run(config, config.build_model())
         assert report.termination == "epsilon"
 
 
@@ -327,6 +333,29 @@ class TestAlgoConfig:
             run_ybt(QuadraticModel(), outside, cfg)
 
 
+@pytest.mark.parametrize("algorithm", ["vdm", "ybt"])
+@pytest.mark.parametrize("suite", ["quadratic", "flash-water"])
+def test_log_d_reparametrisation_invariance(suite, algorithm):
+    # theta = B phi maps each Jacobian J to B^T J and M to B^T M B: phi under
+    # log-D is unchanged, so the run is the same and log10 det M shifts by
+    # 2 log10 |det B|, up to rounding.
+    tol = {"quadratic": 1e-12, "flash-water": 1e-7}[suite]
+    config = dict(suite_configs(suite))[f"{suite}-{algorithm}"]
+    run = run_vdm if algorithm == "vdm" else run_ybt
+    base = run(config.build_model(), config.grid, config.algo_config())
+    model = config.build_model()
+    d = model.d_theta
+    B = np.eye(d) + 0.3 * np.random.default_rng(5).normal(size=(d, d))
+    jacobian_batch = model.jacobian_batch
+    model.jacobian_batch = lambda xs: B.T @ jacobian_batch(xs)
+    moved = run(model, config.grid, config.algo_config())
+    assert np.array_equal(moved.design.points, base.design.points)
+    assert moved.iterations == base.iterations
+    shift = (np.linalg.slogdet(moved.information_matrix)[1]
+             - np.linalg.slogdet(base.information_matrix)[1]) / np.log(10.0)
+    assert shift == pytest.approx(2.0 * np.log10(abs(np.linalg.det(B))), abs=tol)
+
+
 def test_adagpr_iteration_cap_reports_last_solved_candidates():
     # Below 50 iterations the progress rule never fires; the cap path must
     # report the design of the last weight solve, excluding the one candidate
@@ -340,6 +369,40 @@ def test_adagpr_iteration_cap_reports_last_solved_candidates():
     assert report.design.n_points == 12
     assert report.jacobian_evals == 13
     assert report.design.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class EdgeBlowupQuadratic(ModelHandle):
+    """The quadratic toy through central differences, non-finite beyond
+    x = 0.9: the initial Sobol points (x <= 0.875) are finite, and the
+    acquisition proposes points near the support point x = 1."""
+
+    def __init__(self):
+        super().__init__(Box([-1.0], [1.0]), (1.0, 1.0, 1.0))
+        self.accepted, self.rejected = 0, []
+
+    def _eval_batch(self, xs, thetas):
+        return np.where(xs > 0.9, np.inf, quadratic_model(xs[:, 0], thetas)[:, None])
+
+    def jacobian_batch(self, xs):
+        try:
+            jac = super().jacobian_batch(xs)
+        except NonFiniteModelError:
+            self.rejected.append(np.asarray(xs)[0])
+            raise
+        self.accepted += jac.shape[0]
+        return jac
+
+
+def test_adagpr_counts_only_accepted_jacobians():
+    model = EdgeBlowupQuadratic()
+    report = run_adagpr(model, AlgoConfig(criterion=Criterion.LOGD, rng_seed=0,
+                                          n_initial=10))
+    assert model.rejected
+    assert report.jacobian_evals == model.accepted == report.design.n_points
+    rejections = [w for w in report.warnings if w.startswith("rejected non-finite point")]
+    assert len(rejections) == len(model.rejected)
+    for warning, x in zip(rejections, model.rejected):
+        assert warning.endswith(f"at x={x}")
 
 
 def test_adagpr_deterministic_with_per_dimension_lengthscales(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from oed.algorithms import AlgoConfig, AlgoReport, TimingBreakdown
+from oed.algorithms import BUCKETS, AlgoConfig, AlgoReport
 from oed.bench import suite_configs
 from oed.cli import main
 from oed.config import (
@@ -18,7 +18,7 @@ from oed.designs import Criterion, Design
 from oed.exceptions import ConfigError, InvalidInputError
 from oed.flash import METHANOL, WATER, FlashModel
 from oed.report import emit_report, summary_objective
-from oed.runner import run_and_emit, run_problem
+from oed.runner import _run, run_and_emit
 
 
 def write_config(tmp_path, payload, name="problem.json"):
@@ -134,7 +134,7 @@ class TestLoadProblem:
         with pytest.raises(ConfigError, match="n_initial"):
             config.build_model()
         with pytest.raises(ConfigError, match="n_initial"):
-            run_problem(config)
+            _run(config, config.build_model())
 
     def test_grid_bounds_tolerance_matches_algorithms(self, tmp_path):
         # One tolerance, 1e-9, as in run_ybt: points 5e-10 outside the
@@ -142,7 +142,7 @@ class TestLoadProblem:
         inside = [[-1.0 - 5e-10], [-0.5], [0.0], [0.5], [1.0 + 5e-10]]
         cfg = load_problem(write_config(tmp_path, dict(
             QUADRATIC_YBT, grid={"points": inside})))
-        assert run_problem(cfg).termination == "epsilon"
+        assert _run(cfg, cfg.build_model()).termination == "epsilon"
         outside = inside + [[1.0 + 2e-9]]
         with pytest.raises(ConfigError, match="outside the design bounds"):
             load_problem(write_config(tmp_path, dict(
@@ -206,7 +206,7 @@ def _dummy_report(M=None, criterion=Criterion.D):
         objective_trace=np.array([3.0, 2.0, 1.0]),
         iterations=3,
         jacobian_evals=12,
-        timings=TimingBreakdown(total=1.0),
+        timings=dict.fromkeys(BUCKETS, 0.0) | {"total": 1.0},
         termination="epsilon",
         criterion=criterion,
         information_matrix=np.diag([10.0, 10.0]) if M is None else M,

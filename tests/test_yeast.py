@@ -196,8 +196,6 @@ class TestYeastModel:
         model = YeastModel()
         J = model.jacobian(X_REF)
         assert J.shape == (4, 20)
-        assert model.n_jacobian_evals == 1
-        assert model.n_evals == 0
 
     def test_bounds(self):
         model = YeastModel()
