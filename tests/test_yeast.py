@@ -11,6 +11,29 @@ X_REF = np.array([5.0, 0.1, 0.2, 0.05, 0.15, 0.1, 10.0, 30.0, 5.0, 20.0, 35.0])
 THETA_REF = np.array([0.5, 0.5, 0.5, 0.5])
 
 
+def prefix_stress_batch(seed=13):
+    """A shuffled batch that exercises the grouping by control prefix:
+    grid and random rows, duplicates, copies that share a prefix only up to
+    piece 0, 2 or 3 (one control of the next piece moved), and copies with
+    another y1_0."""
+    rng = np.random.default_rng(seed)
+    grid = yeast_grid()
+    model = YeastModel()
+    base = np.vstack([grid[rng.choice(grid.shape[0], 3, replace=False)],
+                      rng.uniform(model.bounds.lower, model.bounds.upper, size=(2, 11))])
+    rows = [base, base[:2]]
+    for piece in (0, 2, 3):
+        for col, (lo, hi) in ((2 + piece, (0.05, 0.2)), (7 + piece, (5.0, 35.0))):
+            moved = base.copy()
+            moved[:, col] = rng.uniform(lo, hi, size=len(base))
+            rows.append(moved)
+    other_y1 = base.copy()
+    other_y1[:, 0] = rng.uniform(1.0, 10.0, size=len(base))
+    xs = np.vstack([*rows, other_y1])
+    rng.shuffle(xs)
+    return xs
+
+
 def reference_simulation(x, theta, y2_0=0.1, substrate_form="as-printed",
                          h=DEFAULT_STEP_H):
     """Plain scalar-loop oracle: RK4 over explicit control pieces."""
@@ -129,6 +152,32 @@ class TestYeastSimulate:
         with pytest.raises(NonFiniteModelError, match=r"non-finite at t=0\.025 h$"):
             simulate_batch(X_REF, np.array([0.5, -0.1, 0.5, 0.5]))
 
+    def test_non_finite_row_in_a_grouped_batch_detected(self):
+        # One bad theta among good rows that share its controls: the grouped
+        # integration still checks every step, and fails at the first.
+        xs = np.vstack([X_REF, X_REF, prefix_stress_batch()])
+        thetas = np.tile(THETA_REF, (len(xs), 1))
+        thetas[1, 1] = -0.1
+        with pytest.raises(NonFiniteModelError, match=r"non-finite at t=0\.025 h$"):
+            simulate_batch(xs, thetas)
+
+    @pytest.mark.parametrize("form", ["as-printed", "classical"])
+    def test_grouped_batch_equals_points_one_at_a_time(self, form):
+        # A single point runs ungrouped on float64 scalars, so it is the
+        # oracle for every row of a batch grouped by control prefix; the
+        # second batch is the central-difference layout, eight thetas per
+        # point.
+        xs = prefix_stress_batch()
+        batch = simulate_batch(xs, THETA_REF, substrate_form=form)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(simulate_batch(x, THETA_REF, substrate_form=form)[0], row)
+        step = 1e-4 * np.eye(4)
+        thetas = np.tile(np.vstack([THETA_REF + step, THETA_REF - step]), (10, 1))
+        fd_xs = np.repeat(xs[:10], 8, axis=0)
+        batch = simulate_batch(fd_xs, thetas, substrate_form=form)
+        for x, theta, row in zip(fd_xs, thetas, batch):
+            assert np.array_equal(simulate_batch(x, theta, substrate_form=form)[0], row)
+
 
 class TestYeastModel:
     def test_exact_jacobian_matches_generic_fd(self):
@@ -146,23 +195,31 @@ class TestYeastModel:
             assert row_error.max() < 1e-6, form
 
     def test_batch_rows_match_single_point_jacobians(self):
-        rng = np.random.default_rng(2)
-        model = YeastModel()
-        xs = rng.uniform(model.bounds.lower, model.bounds.upper, size=(5, 11))
-        batch = model.jacobian_batch(xs)
-        for x, J in zip(xs, batch):
-            assert np.array_equal(model.jacobian(x), J)
+        # A single point runs ungrouped on float64 scalars, so it is the
+        # oracle for every row of a batch grouped by control prefix.
+        xs = prefix_stress_batch()
+        for form in ("as-printed", "classical"):
+            model = YeastModel(substrate_form=form)
+            for x, J in zip(xs, model.jacobian_batch(xs)):
+                assert np.array_equal(model.jacobian(x), J)
 
     @pytest.mark.parametrize("form", ["as-printed", "classical"])
     def test_bit_for_bit_against_the_in_place_stack(self, form):
         # 512 grid rows and 256 random points as one batch (array rows), and
-        # 20 of the random points one at a time (float64 scalar rows).
+        # 20 of the random points one at a time (float64 scalar rows). The
+        # batch also holds all 1,296 grid rows with one piece-0 prefix
+        # (y1_0, u1_0, u2_0), which contain whole families of every later
+        # piece, shuffled with 3,000 more grid rows.
         rng = np.random.default_rng(4)
         grid = yeast_grid()
         model = YeastModel(substrate_form=form)
         lower, upper = model.bounds.lower, model.bounds.upper
+        family = grid[np.all(grid[:, [0, 1, 6]] == grid[5, [0, 1, 6]], axis=1)]
+        assert family.shape[0] == 1296
+        shared = np.vstack([family, grid[rng.choice(grid.shape[0], 3000)]])
+        rng.shuffle(shared)
         xs = np.vstack([grid[rng.choice(grid.shape[0], 512, replace=False)],
-                        rng.uniform(lower, upper, size=(256, 11))])
+                        rng.uniform(lower, upper, size=(256, 11)), shared])
         oracle = sensitivity_by_stack(xs, model.theta_nominal, substrate_form=form)
         assert np.array_equal(model.jacobian_batch(xs), oracle)
         for i in range(512, 532):
