@@ -24,7 +24,6 @@ from .designs import (
     SigmaEps,
     criterion_value,
     directional_derivatives,
-    fisher_at_point,
     fisher_at_points,
     information_matrix,
 )

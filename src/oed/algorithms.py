@@ -29,7 +29,6 @@ from .designs import (
     SigmaEps,
     criterion_value,
     directional_derivatives,
-    fisher_at_point,
     fisher_at_points,
     information_matrix,
     is_invertible,
@@ -80,8 +79,8 @@ class AlgoConfig:
     sigma_eps: SigmaEps | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidInputError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidInputError("epsilon must be positive and finite")
         if self.rng_seed < 0:
             raise InvalidInputError("seed must be >= 0")
         if self.max_iterations < 1:
@@ -203,8 +202,9 @@ class _Run:
     """The one run recorder: it counts the model Jacobians the run asks for,
     times every bucket, collects warnings and builds the report."""
 
-    def __init__(self, model: ModelHandle):
+    def __init__(self, model: ModelHandle, cfg: AlgoConfig):
         self.model = model
+        self.cfg = cfg
         self.timings = dict.fromkeys(BUCKETS, 0.0)
         self.jacobian_evals = 0
         self.warnings: list = []
@@ -218,34 +218,35 @@ class _Run:
         finally:
             self.timings[bucket] += time.perf_counter() - t0
 
-    def jacobians(self, points) -> np.ndarray:
-        """The model's Jacobians at the rows of ``points``, timed and counted;
-        a call that raises counts nothing."""
+    def fisher(self, points) -> np.ndarray:
+        """The Fisher stack at the rows of ``points``; its model Jacobians are
+        timed and counted, and a call that raises counts nothing."""
         jac = self.timed("jacobian", self.model.jacobian_batch, points)
+        mus = fisher_at_points(jac, self.cfg.sigma_eps)
         self.jacobian_evals += jac.shape[0]
-        return jac
+        return mus
 
-    def report(self, cfg: AlgoConfig, design: Design, M: np.ndarray, trace,
+    def report(self, design: Design, M: np.ndarray, trace,
                termination: str) -> AlgoReport:
         """The report on the final ``design``, whose information matrix is ``M``."""
         self.timings["total"] = time.perf_counter() - self.t_start
         return AlgoReport(
             design=design,
             clustered_design=cluster_design(design, box=self.model.bounds),
-            objective=criterion_value(M, cfg.criterion),
+            objective=criterion_value(M, self.cfg.criterion),
             objective_trace=np.asarray(trace),
             iterations=len(trace),
             jacobian_evals=self.jacobian_evals,
             timings=self.timings,
             termination=termination,
-            criterion=cfg.criterion,
+            criterion=self.cfg.criterion,
             information_matrix=M,
             warnings=self.warnings,
         )
 
 
-def _exchange(run: _Run, cfg: AlgoConfig, keys: list, cand: np.ndarray,
-              propose, to_points) -> AlgoReport:
+def _exchange(run: _Run, keys: list, cand: np.ndarray, propose,
+              to_points) -> AlgoReport:
     """The re-solve loop of YBT and ADA-GPR.
 
     ``keys`` name the candidates, ``cand`` stacks their Fisher matrices. Each
@@ -256,6 +257,7 @@ def _exchange(run: _Run, cfg: AlgoConfig, keys: list, cand: np.ndarray,
     reason. The report covers the candidates of the last solve, at
     ``to_points(keys)``.
     """
+    cfg = run.cfg
     warm = None
     trace = []
     termination = "max_iterations"
@@ -282,7 +284,7 @@ def _exchange(run: _Run, cfg: AlgoConfig, keys: list, cand: np.ndarray,
 
     n = w.shape[0]
     M = information_matrix(w, cand[:n])
-    return run.report(cfg, Design(to_points(keys[:n]), w), M, trace, termination)
+    return run.report(Design(to_points(keys[:n]), w), M, trace, termination)
 
 
 def _grid_start(model: ModelHandle, grid, cfg: AlgoConfig):
@@ -290,8 +292,8 @@ def _grid_start(model: ModelHandle, grid, cfg: AlgoConfig):
     start (its grid indices ``keys``) and ``propose(M)``, the phi-minimizing
     grid point ``(j, mus[j])`` or ``"epsilon"``."""
     grid = check_inputs(model, cfg, grid)
-    run = _Run(model)
-    mus = fisher_at_points(run.jacobians(grid), cfg.sigma_eps)
+    run = _Run(model, cfg)
+    mus = run.fisher(grid)
     n0 = cfg.n_initial if cfg.n_initial is not None else model.d_theta + 1
     rng = np.random.default_rng(cfg.rng_seed)
     for _ in range(MAX_INIT_RESAMPLES):
@@ -346,7 +348,7 @@ def run_vdm(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
 
     w = w / w.sum()
     M = information_matrix(w, mus[keys])
-    return run.report(cfg, Design(grid[keys], w), M, trace, termination)
+    return run.report(Design(grid[keys], w), M, trace, termination)
 
 
 def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
@@ -359,7 +361,7 @@ def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
     drops weights below 0.001, as the published tables do.
     """
     run, grid, mus, keys, propose = _grid_start(model, grid, cfg)
-    report = _exchange(run, cfg, keys, mus[keys], propose, lambda keys: grid[keys])
+    report = _exchange(run, keys, mus[keys], propose, lambda keys: grid[keys])
     report.design = report.design.pruned(PRUNE_WEIGHT)
     return report
 
@@ -378,12 +380,12 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
     """
     check_inputs(model, cfg)
     box = model.bounds
-    run = _Run(model)
+    run = _Run(model, cfg)
     n0 = (cfg.n_initial if cfg.n_initial is not None
           else max(10 * model.d_x, model.d_theta + 2))
     stream = SobolStream(model.d_x)
     U = stream.next(n0)
-    mus = fisher_at_points(run.jacobians(box.from_unit(U)), cfg.sigma_eps)
+    mus = run.fisher(box.from_unit(U))
     for extra in range(MAX_INIT_RESAMPLES + 1):
         if is_invertible(mus.mean(axis=0)):
             break
@@ -391,9 +393,8 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
             raise InitializationError("initial information matrix stayed singular "
                                       "while extending the Sobol candidate set")
         u_new = stream.next(1)
-        jac_new = run.jacobians(box.from_unit(u_new))
+        mus = np.concatenate([mus, run.fisher(box.from_unit(u_new))])
         U = np.vstack([U, u_new])
-        mus = np.concatenate([mus, fisher_at_points(jac_new, cfg.sigma_eps)])
 
     tau, alpha, iso, params = 1.0, None, None, None
 
@@ -431,7 +432,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
                           stream.next(N_STARTS))
         for _ in range(MAX_POINT_REJECTIONS):
             try:
-                jac_new = run.jacobians(box.from_unit(u_new)[None])[0]
+                mu_new = run.fisher(box.from_unit(u_new)[None])[0]
                 break
             except NonFiniteModelError as exc:
                 run.warnings.append(f"rejected non-finite point: {exc}")
@@ -441,9 +442,8 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
                 "model stayed non-finite after replacing the acquisition "
                 f"point {MAX_POINT_REJECTIONS} times"
             )
-        mu_new = fisher_at_point(jac_new, cfg.sigma_eps)
         tau = next_tau(tau, directional_derivatives(M, mu_new, cfg.criterion)[0])
         return u_new, mu_new
 
-    return _exchange(run, cfg, list(U), mus, propose,
+    return _exchange(run, list(U), mus, propose,
                      lambda keys: box.from_unit(np.array(keys)))

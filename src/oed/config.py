@@ -106,7 +106,12 @@ class ProblemConfig:
         if self.n_initial is not None:
             self.n_initial = _number("n_initial", self.n_initial, int)
         self.seed = _number("seed", self.seed, int)
+        if not isinstance(self.model_options, dict):
+            raise ConfigError("model_options must be a JSON object, got "
+                              f"{self.model_options!r}")
         self.model_options = dict(self.model_options)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.algorithm == "adagpr" and self.grid is not None:
             raise ConfigError("adagpr works on the continuous space; remove 'grid'")
         if self.algorithm in ("vdm", "ybt") and self.grid is None:

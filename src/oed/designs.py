@@ -145,48 +145,26 @@ def _as_mu_array(mus) -> np.ndarray:
     return arr
 
 
-def fisher_at_point(jacobian, sigma: SigmaEps | None = None) -> np.ndarray:
-    """Per-point Fisher information ``mu = J Sigma^-1 J^T``.
-
-    ``jacobian`` is ``(d_theta, d_y)`` (a 1-D vector is treated as a single
-    output column). ``sigma`` defaults to the identity precision.
-    """
-    J = np.asarray(jacobian, dtype=float)
-    if J.ndim == 1:
-        J = J[:, None]
-    if J.ndim != 2:
-        raise InvalidInputError(f"jacobian must be a matrix, got ndim={J.ndim}")
-    if not np.all(np.isfinite(J)):
-        raise InvalidInputError("jacobian contains non-finite entries")
-    if sigma is None:
-        mu = J @ J.T
-    else:
-        if sigma.d_y != J.shape[1]:
-            raise InvalidInputError(
-                f"sigma is {sigma.d_y}x{sigma.d_y} but jacobian has "
-                f"{J.shape[1]} output columns"
-            )
-        mu = J @ sigma.precision @ J.T
-    return 0.5 * (mu + mu.T)
-
-
 def fisher_at_points(jacobians, sigma: SigmaEps | None = None) -> np.ndarray:
-    """Vectorized :func:`fisher_at_point` over a ``(n, d_theta, d_y)`` stack."""
+    """Per-point Fisher information ``mu = J Sigma^-1 J^T`` over a
+    ``(n, d_theta, d_y)`` stack of Jacobians, one stacked matrix product per
+    row; ``sigma`` defaults to the identity precision."""
     J = np.asarray(jacobians, dtype=float)
     if J.ndim != 3:
         raise InvalidInputError(f"expected (n, d_theta, d_y) stack, got {J.shape}")
     if not np.all(np.isfinite(J)):
         raise InvalidInputError("jacobian stack contains non-finite entries")
+    Jt = J.transpose(0, 2, 1)
     if sigma is None:
-        mus = np.einsum("nij,nkj->nik", J, J)
+        mus = J @ Jt
     else:
         if sigma.d_y != J.shape[2]:
             raise InvalidInputError(
                 f"sigma is {sigma.d_y}x{sigma.d_y} but the jacobians have "
                 f"{J.shape[2]} output columns"
             )
-        mus = np.einsum("nij,jl,nkl->nik", J, sigma.precision, J)
-    return 0.5 * (mus + np.transpose(mus, (0, 2, 1)))
+        mus = J @ sigma.precision @ Jt
+    return 0.5 * (mus + mus.transpose(0, 2, 1))
 
 
 def _weighted_sum(w, arr) -> np.ndarray:

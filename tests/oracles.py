@@ -59,6 +59,17 @@ def bubble_point_batch_64(x_m, P_pa, nrtl, substances):
     return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15
 
 
+def fisher_by_point(jacobians, sigma=None):
+    """Per-point Fisher matrices ``J P J^T`` (P the precision, identity when
+    ``sigma`` is None), one 2-D product per row of the ``(n, d_theta, d_y)``
+    stack, each symmetrized as ``0.5 (mu + mu^T)``."""
+    out = []
+    for J in np.asarray(jacobians, dtype=float):
+        mu = J @ J.T if sigma is None else J @ sigma.precision @ J.T
+        out.append(0.5 * (mu + mu.T))
+    return np.array(out)
+
+
 def posterior_stack(gp, X):
     """Posterior means and variances at the rows of X, one ``posterior``
     call per row."""

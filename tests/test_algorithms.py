@@ -312,6 +312,12 @@ class TestAlgoConfig:
         with pytest.raises(InvalidInputError):
             AlgoConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+    def test_epsilon_finite(self, epsilon):
+        # An infinite epsilon would certify any start at iteration 1.
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            AlgoConfig(epsilon=epsilon)
+
     def test_weight_tol_tighter_than_epsilon(self):
         cfg = AlgoConfig(epsilon=1e-3)
         assert cfg.weight_tol <= cfg.epsilon / 10

@@ -292,13 +292,16 @@ class TestCli:
         (dict(THREE_POINT_YBT, n_initial=5), [], "fewer than the 5"),
         (THREE_POINT_YBT, [], "fewer than the 4"),
         (dict(QUADRATIC_YBT, epsilon=float("nan")), [], "epsilon must be positive"),
+        (dict(QUADRATIC_YBT, algorithm="vdm", epsilon=float("inf")), [],
+         "epsilon must be positive and finite"),
     ], ids=["seed", "seed-override", "grid-below-n-initial", "grid-below-default",
-            "nan-epsilon"])
+            "nan-epsilon", "infinite-epsilon"])
     def test_values_the_algorithms_cannot_use_exit_2(self, tmp_path, capsys,
                                                      payload, run_args, message):
         # A negative seed, a grid smaller than the initial design and a NaN
-        # epsilon: check refuses the file (the --seed override is run's own)
-        # and run refuses it before the algorithm starts.
+        # or infinite epsilon (JSON's Infinity would certify the random start
+        # at iteration 1): check refuses the file (the --seed override is
+        # run's own) and run refuses it before the algorithm starts.
         path = write_config(tmp_path, payload)
         assert main(["check", str(path)]) == (0 if run_args else 2)
         assert main(["run", str(path), *run_args,
@@ -318,6 +321,19 @@ class TestCli:
         assert main(["check", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.count(f"{key} must be") == 2
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(QUADRATIC_YBT, out_dir=5), "out_dir must be a string, got 5"),
+        (dict(SHORT_YEAST_THETA, model_options=[["y2_0", 0.2]]),
+         "model_options must be a JSON object"),
+    ], ids=["out-dir-number", "model-options-pairs"])
+    def test_keys_of_the_wrong_type_exit_2(self, tmp_path, capsys, payload, message):
+        # A number is no output directory, and a list of pairs is no object,
+        # though Path() and dict() would otherwise take them apart later.
+        path = write_config(tmp_path, payload)
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
 
     @pytest.mark.parametrize("payload, message", [
         (SHORT_QUADRATIC_THETA, "theta_nominal must have 3 entries, got 2"),

@@ -3,63 +3,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import fisher_by_point
 
+from oed.bench import flash_grid
 from oed.designs import (
     Criterion,
     Design,
     SigmaEps,
     criterion_value,
     directional_derivatives,
-    fisher_at_point,
     fisher_at_points,
     information_matrix,
     is_invertible,
 )
 from oed.exceptions import InvalidInputError, SingularInformationError
+from oed.flash import methanol_water_flash
 from oed.weights import optimize_weights
+from oed.yeast import YeastModel
 
 
 def quad_mu(x):
     j = np.array([[1.0], [x], [x * x]])
-    return fisher_at_point(j)
+    return fisher_at_points(j[None])[0]
+
+
+def random_precision(rng, d_y):
+    A = rng.normal(size=(d_y, d_y))
+    return SigmaEps(A @ A.T + d_y * np.eye(d_y))
 
 
 class TestFisherAtPoint:
+    """``fisher_at_points`` row by row: ``mu = J Sigma^-1 J^T``."""
+
     def test_identity_jacobian_identity_sigma(self):
-        assert np.allclose(fisher_at_point(np.eye(2), SigmaEps(np.eye(2))), np.eye(2))
+        mus = fisher_at_points(np.eye(2)[None], SigmaEps(np.eye(2)))
+        assert np.allclose(mus, np.eye(2)[None])
 
     def test_rank_one_column(self):
-        mu = fisher_at_point(np.array([[2.0], [0.0]]), SigmaEps(np.eye(1)))
-        assert np.allclose(mu, [[4.0, 0.0], [0.0, 0.0]])
+        mus = fisher_at_points(np.array([[[2.0], [0.0]]]), SigmaEps(np.eye(1)))
+        assert np.allclose(mus, [[[4.0, 0.0], [0.0, 0.0]]])
 
     def test_scalar_covariance_scaling(self):
         sigma = SigmaEps.from_covariance([[4.0]])
-        mu = fisher_at_point(np.array([[1.0], [1.0]]), sigma)
-        assert np.allclose(mu, [[0.25, 0.25], [0.25, 0.25]])
+        mus = fisher_at_points(np.array([[[1.0], [1.0]]]), sigma)
+        assert np.allclose(mus, [[[0.25, 0.25], [0.25, 0.25]]])
 
     def test_default_sigma_is_identity(self):
         J = np.array([[1.0, 2.0], [0.5, -1.0]])
-        assert np.allclose(fisher_at_point(J), J @ J.T)
+        assert np.allclose(fisher_at_points(J[None])[0], J @ J.T)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fisher_at_point(np.array([[np.nan], [1.0]]))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            fisher_at_points(np.array([[[np.nan], [1.0]]]))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3, 2, 1)])
+    def test_a_matrix_that_is_not_a_stack_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="stack"):
+            fisher_at_points(np.ones(shape))
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 2), elements=st.floats(-10, 10)))
     def test_symmetric_psd_for_any_finite_jacobian(self, J):
-        mu = fisher_at_point(J)
-        assert np.allclose(mu, mu.T, atol=1e-10)
+        mu = fisher_at_points(J[None])[0]
+        assert np.array_equal(mu, mu.T)
         eig = np.linalg.eigvalsh(mu)
         assert eig.min() >= -1e-10 * max(eig.max(), 1.0)
 
     def test_batch_matches_single(self):
+        # A row's Fisher matrix does not depend on the stack it comes in:
+        # ADA-GPR's one-row calls round like its initial batch and the grid.
         rng = np.random.default_rng(0)
         J = rng.normal(size=(5, 3, 2))
-        sigma = SigmaEps.from_covariance(np.diag([2.0, 0.5]))
-        batch = fisher_at_points(J, sigma)
-        single = np.stack([fisher_at_point(j, sigma) for j in J])
-        assert np.allclose(batch, single)
+        for sigma in (None, SigmaEps.from_covariance(np.diag([2.0, 0.5]))):
+            batch = fisher_at_points(J, sigma)
+            single = np.concatenate([fisher_at_points(J[i:i + 1], sigma)
+                                     for i in range(J.shape[0])])
+            assert np.array_equal(batch, single)
 
     def test_sigma_size_mismatch_rejected(self):
         # A 2x2 precision must not broadcast over single-output Jacobians.
@@ -67,7 +86,41 @@ class TestFisherAtPoint:
         with pytest.raises(InvalidInputError, match="output columns"):
             fisher_at_points(J, SigmaEps(np.eye(2)))
         with pytest.raises(InvalidInputError, match="output columns"):
-            fisher_at_point(J[0], SigmaEps(np.eye(2)))
+            fisher_at_points(J[:1], SigmaEps(np.eye(2)))
+
+
+@pytest.fixture(scope="module")
+def flash_grid_jacobians():
+    return methanol_water_flash().jacobian_batch(flash_grid())
+
+
+class TestFisherOracle:
+    """``fisher_at_points`` equals the per-point product ``J P J^T`` of
+    ``oracles.fisher_by_point`` bit for bit, so a Fisher matrix rounds the
+    same way wherever it is computed."""
+
+    @pytest.mark.parametrize("d_y", [1, 2, 20])
+    @pytest.mark.parametrize("precision", [False, True])
+    def test_random_stacks(self, d_y, precision):
+        rng = np.random.default_rng(d_y)
+        sigma = random_precision(rng, d_y) if precision else None
+        for n in (1, 500):
+            J = rng.normal(size=(n, 4, d_y)) * rng.uniform(0.01, 100.0, size=(n, 1, 1))
+            assert np.array_equal(fisher_at_points(J, sigma), fisher_by_point(J, sigma))
+
+    @pytest.mark.parametrize("covariance", [None, np.diag([1e-4, 1.0])])
+    def test_flash_grid_jacobians(self, flash_grid_jacobians, covariance):
+        sigma = None if covariance is None else SigmaEps.from_covariance(covariance)
+        J = flash_grid_jacobians
+        assert np.array_equal(fisher_at_points(J, sigma), fisher_by_point(J, sigma))
+
+    @pytest.mark.parametrize("precision", [False, True])
+    def test_yeast_jacobians(self, precision):
+        model = YeastModel()
+        rng = np.random.default_rng(23)
+        J = model.jacobian_batch(model.bounds.from_unit(rng.uniform(size=(300, 11))))
+        sigma = random_precision(rng, 20) if precision else None
+        assert np.array_equal(fisher_at_points(J, sigma), fisher_by_point(J, sigma))
 
 
 class TestInformationMatrix:

@@ -204,3 +204,46 @@ def test_e_criterion_objective_matches_sdp_oracle():
             sol = err.best
         lam_ours = 1.0 / sol.objective
         assert lam_ours >= problem.value * (1.0 - 5e-3)
+
+
+@pytest.mark.parametrize("criterion", [Criterion.LOGD, Criterion.A])
+def test_permuting_the_candidates_permutes_the_weights(criterion):
+    # As in the exchange loop, the newest candidate (last here) enters with
+    # weight 1e-12 next to the optimal weights of the others; it has phi < 0
+    # there, so it joins the support.
+    rng = np.random.default_rng(27)
+    mus = random_mus(rng, 12)
+    base = optimize_weights(mus[:-1], criterion, tol=1e-9)
+    M = information_matrix(base.weights, mus[:-1])
+    assert directional_derivatives(M, mus[-1], criterion)[0] < -0.5
+    warm = np.append(base.weights, 1e-12)
+    sol = optimize_weights(mus, criterion, tol=1e-9, warm_start=warm)
+    assert sol.weights[-1] > 0.1
+    for perm in (rng.permutation(12), np.roll(np.arange(12), 1)):
+        moved = optimize_weights(mus[perm], criterion, tol=1e-9, warm_start=warm[perm])
+        np.testing.assert_allclose(moved.weights, sol.weights[perm], rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("criterion", [Criterion.LOGD, Criterion.A])
+def test_duplicating_a_candidate_leaves_the_optimal_information_matrix(criterion):
+    # ADA-GPR's candidate sets hold many copies of their support points. Here
+    # the lightest support point comes 200 times, so each copy's share falls
+    # below the 0.001 a report prunes at and must still be kept. Both solves
+    # end within tol of the same optimum (the criterion is convex, so
+    # Phi(M) - Phi* <= -min phi <= tol), and the copies share the weight.
+    rng = np.random.default_rng(27)
+    mus = random_mus(rng, 12)
+    tol = 1e-7
+    sol = optimize_weights(mus, criterion, tol=tol)
+    support = np.flatnonzero(sol.weights > 0)
+    j = support[np.argmin(sol.weights[support])]
+    copies = np.concatenate([mus, np.repeat(mus[j][None], 199, axis=0)])
+    dup = optimize_weights(copies, criterion, tol=tol)
+    assert abs(dup.objective - sol.objective) <= tol
+    M = information_matrix(sol.weights, mus)
+    np.testing.assert_allclose(information_matrix(dup.weights, copies), M,
+                               rtol=0, atol=1e-6 * np.abs(M).max())
+    shares = np.append(dup.weights[12:], dup.weights[j])
+    assert shares.sum() == pytest.approx(sol.weights[j], abs=1e-6)
+    np.testing.assert_allclose(np.delete(dup.weights[:12], j),
+                               np.delete(sol.weights, j), rtol=0, atol=1e-6)
