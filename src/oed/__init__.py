@@ -1,6 +1,6 @@
 """Locally optimal continuous experimental designs.
 
-Computes D/A/log-D/E-optimal continuous designs with the Vertex Direction
+Computes log-D, A and E-optimal continuous designs with the Vertex Direction
 Method, the YBT exchange algorithm, and an adaptive algorithm that replaces
 grid search over the directional derivative with a Gaussian-process surrogate
 and a Bayesian-optimization-style acquisition.

@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .exceptions import InvalidInputError, UnsupportedDimensionError
 from .gp import GPState
@@ -39,6 +38,7 @@ class SobolStream:
                 f"Sobol direction numbers available up to dimension "
                 f"{MAX_SOBOL_DIM}, requested {dim}"
             )
+        from scipy.stats import qmc  # ~0.4 s to import; only ADA-GPR draws Sobol points
         self._engine = qmc.Sobol(dim, scramble=False)
         self._engine.fast_forward(1)  # skips the all-zeros point
 

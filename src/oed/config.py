@@ -194,7 +194,7 @@ def load_problem(path) -> ProblemConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)

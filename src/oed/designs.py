@@ -7,9 +7,11 @@ over designs, and the directional derivative ``phi`` whose sign certifies
 global optimality (Kiefer-Wolfowitz equivalence theorem): a design is optimal
 iff ``min_x phi(xi, x) >= 0``.
 
+The D-criterion is log-D (``Criterion.D`` is an alias of ``Criterion.LOGD``).
 Fisher matrices are plain symmetric ``(d_theta, d_theta)`` numpy arrays. M is
-assembled here once; one ``eigh`` of it gives the singularity test, the
-criterion value and phi's ``(c, G)``, and phi over a stack is one GEMV.
+assembled here once, one singularity rule guards every criterion, and phi
+over a stack is one ``eigh`` of M and one GEMV, whose eigenvalues also give
+the weight solver its criterion value.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 class Criterion(Enum):
-    """Design criterion; all four are minimized."""
+    """Design criterion, minimized. ``D`` is ``LOGD``: det M^-1 has the same
+    minimizers and phi as -log det M but overflows where the logarithm does not."""
 
     A = "A"          # trace of the inverse information matrix
-    D = "D"          # determinant of the inverse
-    LOGD = "logD"    # -log det M (same minimizers as D)
+    LOGD = "logD"    # -log det M
+    D = "logD"       # alias of LOGD
     E = "E"          # 1 / smallest eigenvalue of M
 
     @classmethod
@@ -48,8 +51,7 @@ class Criterion(Enum):
             ) from None
 
 
-_CRITERION_TAGS = {"a": Criterion.A, "d": Criterion.D, "logd": Criterion.LOGD,
-                   "e": Criterion.E}
+_CRITERION_TAGS = {name.lower(): c for name, c in Criterion.__members__.items()}
 
 
 def _checked_spd(matrix, name: str) -> np.ndarray:
@@ -185,7 +187,7 @@ def information_matrix(weights, mus) -> np.ndarray:
 
 
 # The spectral core: functions of the ascending eigenvalues ``lam`` (and, for
-# phi, the eigenvectors ``V``) of M, so each caller decomposes M once.
+# phi, the eigenvectors) of M, so each caller decomposes M once.
 
 def _is_regular(lam) -> bool:
     """The singularity rule: lambda_min > SINGULAR_RTOL * lambda_max > 0."""
@@ -200,36 +202,37 @@ def _singular(lam) -> SingularInformationError:
 
 
 def _spectral_value(lam, criterion: Criterion) -> float:
-    """Phi(M) from the eigenvalues of M; E is +inf when lambda_min <= 0."""
+    """Phi(M) from the eigenvalues of a regular M."""
     if criterion is Criterion.A:
         return float(np.sum(1.0 / lam))
-    if criterion is Criterion.D:
-        logdet = float(np.sum(np.log(lam)))
-        with np.errstate(over="ignore"):
-            return float(np.exp(-logdet))
     if criterion is Criterion.LOGD:
         return float(-np.sum(np.log(lam)))
     if criterion is Criterion.E:
-        if lam[0] <= 0:
-            return float("inf")
         return float(1.0 / lam[0])
     raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
-def _phi_terms(lam, V, criterion: Criterion):
-    """``(c, G)``: ``phi(mu) = c - <G, mu>`` at M = V diag(lam) V^T, M regular,
-    so phi over a stack is one contraction, ``arr.reshape(n, -1) @ G.ravel()``."""
-    if criterion in (Criterion.D, Criterion.LOGD, Criterion.A):
-        Minv = (V / lam) @ V.T
-        if criterion is Criterion.A:
-            return float(np.trace(Minv)), Minv @ Minv
-        return lam.shape[0], Minv
+def _phi_scan(M, arr, criterion: Criterion):
+    """``(lam, phi, v)`` at M over the stack ``arr``: the ascending eigenvalues
+    of M, ``phi = c - v`` and ``v = <G, mu>`` per row, from one ``eigh`` and
+    one GEMV. Raises ``SingularInformationError`` when M is singular."""
+    lam, V = np.linalg.eigh(M)
+    if not _is_regular(lam):
+        raise _singular(lam)
     if criterion is Criterion.E:
         scale = max(abs(lam[-1]), 1e-300)
         mult = int(np.sum((lam - lam[0]) / scale < EIG_MULTIPLICITY_RTOL))
         P = V[:, :mult]
-        return lam[0], (P @ P.T) / mult
-    raise InvalidInputError(f"unknown criterion {criterion!r}")
+        c, G = lam[0], (P @ P.T) / mult
+    elif criterion is Criterion.A:
+        Minv = (V / lam) @ V.T
+        c, G = float(np.trace(Minv)), Minv @ Minv
+    elif criterion is Criterion.LOGD:
+        c, G = lam.shape[0], (V / lam) @ V.T
+    else:
+        raise InvalidInputError(f"unknown criterion {criterion!r}")
+    v = arr.reshape(arr.shape[0], -1) @ G.ravel()
+    return lam, c - v, v
 
 
 def is_invertible(M: np.ndarray) -> bool:
@@ -238,9 +241,10 @@ def is_invertible(M: np.ndarray) -> bool:
 
 
 def criterion_value(M, criterion: Criterion) -> float:
-    """Scalar criterion value Phi(M); smaller is better for all criteria."""
+    """Scalar criterion value Phi(M); smaller is better for all criteria.
+    Raises ``SingularInformationError`` when M is singular."""
     lam = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    if criterion is not Criterion.E and not _is_regular(lam):
+    if not _is_regular(lam):
         raise _singular(lam)
     return _spectral_value(lam, criterion)
 
@@ -248,13 +252,8 @@ def criterion_value(M, criterion: Criterion) -> float:
 def directional_derivatives(M, mus, criterion: Criterion) -> np.ndarray:
     """Directional derivative ``phi(xi, x)`` for a stack of candidate mus.
 
-    D/log-D: ``d_theta - tr(M^-1 mu)``; A: ``tr(M^-1) - tr(M^-2 mu)``;
+    log-D: ``d_theta - tr(M^-1 mu)``; A: ``tr(M^-1) - tr(M^-2 mu)``;
     E: ``lambda_min(M) - (1/mult) sum_i P_i^T mu P_i`` over the eigenspace of
     the smallest eigenvalue with uniform factors.
     """
-    arr = _as_mu_array(mus)
-    lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
-    if not _is_regular(lam):
-        raise _singular(lam)
-    c, G = _phi_terms(lam, V, criterion)
-    return c - arr.reshape(arr.shape[0], -1) @ G.ravel()
+    return _phi_scan(np.asarray(M, dtype=float), _as_mu_array(mus), criterion)[1]

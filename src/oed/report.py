@@ -1,9 +1,9 @@
 """Report emission: design table, run summary and objective trace files.
 
 The design table lists the clustered support (original units, one row per
-point); the summary reports the objective as log10(det M) for the D family,
-matching the usual table convention, alongside the raw criterion value and
-the environment; fixed number formats make identical runs write identical CSVs.
+point); the summary reports the objective as log10(det M) for log-D, read
+off the criterion value -log det M, alongside that value and the environment;
+fixed number formats make identical runs write identical CSVs.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ _FMT = "%.12g"
 
 
 def summary_objective(report: AlgoReport) -> float:
-    """Headline objective: log10 det M for D/log-D, the criterion value otherwise."""
-    if report.criterion in (Criterion.D, Criterion.LOGD):
-        sign, logdet = np.linalg.slogdet(report.information_matrix)
-        if sign <= 0:
-            raise InvalidInputError("information matrix has non-positive determinant")
-        return float(logdet / np.log(10.0))
+    """Headline objective: log10 det M for log-D, the criterion value otherwise."""
+    if report.criterion is Criterion.LOGD:
+        return -report.objective / np.log(10.0)
     return float(report.objective)
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .algorithms import AlgoReport, run_adagpr, run_vdm, run_ybt
 from .config import ProblemConfig
+from .exceptions import ConfigError
 from .models import ModelHandle
 from .report import emit_report
 
@@ -18,8 +21,13 @@ def _run(config: ProblemConfig, model: ModelHandle) -> AlgoReport:
 
 
 def run_and_emit(config: ProblemConfig, out_dir):
-    """Run the problem and write its report files; returns (report, paths)."""
+    """Run the problem and write its report files; returns (report, paths).
+    ``out_dir`` is created first, so an unusable path fails before the run."""
     model = config.build_model()
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     report = _run(config, model)
     paths = emit_report(report, out_dir, coord_names=model.coord_names,
                         config_echo=config.echo())

@@ -5,14 +5,13 @@ returned weights satisfy the Kiefer-Wolfowitz condition restricted to the
 candidate set: ``phi(xi, x_i) >= -tol`` everywhere and ``|phi(xi, x_i)| <= tol``
 on the support, which certifies optimality within the candidates.
 
-The iteration combines multiplicative updates (Titterington's rule for the
-D-criterion, the exponent-1/2 rule for A) with occasional monotone
+The iteration combines multiplicative updates (Titterington's rule for
+log-D, the exponent-1/2 rule for A) with occasional monotone
 vertex-direction and vertex-exchange line searches that accelerate the
 endgame; the E-criterion uses entropic mirror ascent on the smallest
 eigenvalue. No external convex solver is involved. Each iterate's M is
-decomposed once; its tracked objective (log-D for D), singularity test and
-phi (one GEMV with the core's ``G``) come from that ``eigh`` through the
-spectral core of :mod:`oed.designs`.
+decomposed once: its singularity test, phi over the candidates and tracked
+objective come from the one ``eigh`` of :mod:`oed.designs`' phi scan.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from scipy.optimize import minimize_scalar
 from .designs import (
     Criterion,
     _as_mu_array,
-    _is_regular,
-    _phi_terms,
+    _phi_scan,
     _spectral_value,
     _weighted_sum,
     criterion_value,
@@ -48,17 +46,6 @@ class WeightSolution:
     kkt_residual: float     # most negative phi over the candidates
     iterations: int
     converged: bool
-
-
-def _phi_and_value(M, arr, criterion):
-    """Tracked objective, phi = c - v and v at M; None if M is singular."""
-    lam, V = np.linalg.eigh(M)
-    if not _is_regular(lam):
-        return None
-    c, G = _phi_terms(lam, V, criterion)
-    v = arr.reshape(arr.shape[0], -1) @ G.ravel()
-    tracked = Criterion.LOGD if criterion is Criterion.D else criterion
-    return _spectral_value(lam, tracked), c - v, v
 
 
 def _line_search(M0, M1, hi, criterion):
@@ -150,18 +137,19 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
     best_residual = -np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        state = _phi_and_value(_weighted_sum(w, arr), arr, criterion)
-        if state is None:  # blend drifted singular; restart from uniform
+        try:
+            lam, phi, v = _phi_scan(_weighted_sum(w, arr), arr, criterion)
+        except SingularInformationError:  # blend drifted singular; restart
             w = uniform.copy()
             continue
-        value, phi, v = state
+        value = _spectral_value(lam, criterion)
         residual = float(phi.min())
         if value < best_value:
             best_value, best_w, best_residual = value, w.copy(), residual
         support = w > SUPPORT_EPS
         if residual > -tol and np.max(np.abs(phi[support])) <= tol:
             break
-        if criterion in (Criterion.D, Criterion.LOGD):
+        if criterion is Criterion.LOGD:
             w = w * (v / d)
         elif criterion is Criterion.A:
             w = w * np.sqrt(np.maximum(v, 0.0))
@@ -194,12 +182,10 @@ def _finalize(w, arr, criterion, iterations, converged):
     w = np.where(w < TRUNCATE_EPS, 0.0, w)
     w /= w.sum()
     M = _weighted_sum(w, arr)
-    state = _phi_and_value(M, arr, criterion)
-    residual = float(state[1].min()) if state is not None else -np.inf
     return WeightSolution(
         weights=w,
         objective=criterion_value(M, criterion),
-        kkt_residual=residual,
+        kkt_residual=float(_phi_scan(M, arr, criterion)[1].min()),
         iterations=iterations,
         converged=converged,
     )

@@ -14,7 +14,7 @@ from oed.config import (
     grid_from_levels,
     load_problem,
 )
-from oed.designs import Criterion, Design
+from oed.designs import Criterion, Design, criterion_value
 from oed.exceptions import ConfigError, InvalidInputError
 from oed.flash import METHANOL, WATER, FlashModel
 from oed.report import emit_report, summary_objective
@@ -197,19 +197,20 @@ class TestLoadProblem:
         assert np.allclose(sigma.precision, np.diag([1e4, 1.0]))
 
 
-def _dummy_report(M=None, criterion=Criterion.D):
+def _dummy_report(M=None, criterion=Criterion.LOGD):
     design = Design([[0.2, 1.0], [0.8, 3.0]], [0.25, 0.75])
+    M = np.diag([10.0, 10.0]) if M is None else M
     return AlgoReport(
         design=design,
         clustered_design=design,
-        objective=1.0,
+        objective=criterion_value(M, criterion),
         objective_trace=np.array([3.0, 2.0, 1.0]),
         iterations=3,
         jacobian_evals=12,
         timings=dict.fromkeys(BUCKETS, 0.0) | {"total": 1.0},
         termination="epsilon",
         criterion=criterion,
-        information_matrix=np.diag([10.0, 10.0]) if M is None else M,
+        information_matrix=M,
         warnings=[],
     )
 
@@ -250,7 +251,7 @@ class TestEmitReport:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_non_d_criterion_reports_raw_value(self):
-        report = _dummy_report(criterion=Criterion.A)
+        report = _dummy_report(np.diag([2.0, 2.0]), criterion=Criterion.A)
         assert summary_objective(report) == pytest.approx(1.0)
 
 
@@ -408,6 +409,45 @@ class TestCli:
         for suite in ("quadratic", "flash-water", "flash-acetone", "yeast",
                       "yeast-classical", "all"):
             assert repr(suite) in err
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_undecodable_problem_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("argv", [["run", "{problem}", "--out", "{file}"],
+                                      ["run", "{problem}", "--out", "{file}/sub"],
+                                      ["bench", "quadratic", "--out", "{file}"]])
+    def test_unusable_output_path_exits_2_before_the_run(self, tmp_path, capsys,
+                                                         monkeypatch, argv):
+        def never(*_):
+            raise AssertionError("the algorithm ran")
+
+        monkeypatch.setattr("oed.runner._run", never)
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory", encoding="utf-8")
+        problem = write_config(tmp_path, QUADRATIC_YBT)
+        assert main([a.format(problem=problem, file=afile) for a in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_d_at_a_tiny_det_writes_finite_strict_reports(self, tmp_path):
+        # det M is about 1e-600 here: det M^-1 would overflow, -log det M does not.
+        path = write_config(tmp_path, dict(QUADRATIC_YBT, criterion="D",
+                                           sigma_eps=[[1e200]]))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+        assert trace and all(np.isfinite(float(row.split(",")[1])) for row in trace)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["objective"] == -summary["criterion_value"] / np.log(10.0)
 
 
 # suite -> (model, substrate form, grid shape, ADA-GPR settings) at seed 3.

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import fisher_by_point
 
-from oed.bench import flash_grid
+from oed.algorithms import AlgoConfig, run_vdm, run_ybt
+from oed.bench import flash_grid, quadratic_grid
 from oed.designs import (
     Criterion,
     Design,
@@ -18,6 +19,7 @@ from oed.designs import (
 )
 from oed.exceptions import InvalidInputError, SingularInformationError
 from oed.flash import methanol_water_flash
+from oed.models import QuadraticModel
 from oed.weights import optimize_weights
 from oed.yeast import YeastModel
 
@@ -155,11 +157,25 @@ class TestCriterionValue:
         value = criterion_value(np.diag([2.0, 4.0]), Criterion.LOGD)
         assert value == pytest.approx(-np.log(8.0))
 
-    def test_d_diagonal(self):
-        assert criterion_value(np.diag([2.0, 4.0]), Criterion.D) == pytest.approx(1 / 8)
+    def test_d_is_log_d(self):
+        assert Criterion.D is Criterion.LOGD
+        assert Criterion.parse("D") is Criterion.LOGD
+        grid = quadratic_grid()
+        for run in (run_vdm, run_ybt):
+            d, log_d = (run(QuadraticModel(), grid, AlgoConfig(criterion=c, rng_seed=1))
+                        for c in (Criterion.parse("D"), Criterion.LOGD))
+            for field in ("objective_trace", "information_matrix"):
+                assert np.array_equal(getattr(d, field), getattr(log_d, field))
+            assert np.array_equal(d.design.points, log_d.design.points)
+            assert np.array_equal(d.design.weights, log_d.design.weights)
+            assert (d.objective, d.termination) == (log_d.objective, log_d.termination)
 
     def test_e_criterion_inverse_min_eigenvalue(self):
         assert criterion_value(np.diag([2.0, 4.0]), Criterion.E) == pytest.approx(0.5)
+
+    def test_singular_raises_for_e(self):
+        with pytest.raises(SingularInformationError):
+            criterion_value(np.diag([1.0, 0.0]), Criterion.E)
 
     def test_singular_raises_for_inverse_criteria(self):
         for crit in (Criterion.A, Criterion.D, Criterion.LOGD):
@@ -385,8 +401,7 @@ def test_singularity_boundary_is_one_rule():
     for small, regular in ((2e-12, True), (5e-13, False)):
         M = np.diag([1.0, small])
         assert is_invertible(M) is regular
-        checks = [lambda c=c: criterion_value(M, c)
-                  for c in (Criterion.A, Criterion.D, Criterion.LOGD)]
+        checks = [lambda c=c: criterion_value(M, c) for c in Criterion]
         checks += [lambda c=c: directional_derivatives(M, M, c) for c in Criterion]
         checks += [lambda c=c: optimize_weights([M], c) for c in Criterion]
         for check in checks:
