@@ -11,7 +11,10 @@ The D-criterion is log-D (``Criterion.D`` is an alias of ``Criterion.LOGD``).
 Fisher matrices are plain symmetric ``(d_theta, d_theta)`` numpy arrays. M is
 assembled here once, one singularity rule guards every criterion, and phi
 over a stack is one ``eigh`` of M and one GEMV, whose eigenvalues also give
-the weight solver its criterion value.
+the weight solver its criterion value. The ``eigh`` and the contraction
+``phi(mu) = c - <G, mu>`` are :func:`_gradient`, so a caller may apply G to
+any rows of a stack (VDM's lazy scan); the criterion value also takes a
+stack of matrices, from one stacked ``eigvalsh`` (VDM's trace).
 """
 
 from __future__ import annotations
@@ -187,50 +190,66 @@ def information_matrix(weights, mus) -> np.ndarray:
 
 
 # The spectral core: functions of the ascending eigenvalues ``lam`` (and, for
-# phi, the eigenvectors) of M, so each caller decomposes M once.
+# phi, the eigenvectors) of M, so each caller decomposes M once. The value and
+# the regularity check also take a stack of rows, one per matrix.
 
 def _is_regular(lam) -> bool:
     """The singularity rule: lambda_min > SINGULAR_RTOL * lambda_max > 0."""
     return bool(lam[-1] > 0 and lam[0] > SINGULAR_RTOL * lam[-1])
 
 
-def _singular(lam) -> SingularInformationError:
-    return SingularInformationError(
-        f"information matrix is singular (eigenvalues {lam.min():.3e} .. "
-        f"{lam.max():.3e})"
-    )
+def _check_regular(lam) -> None:
+    """Raise ``SingularInformationError`` at the first row of ``lam`` (one
+    matrix's ascending eigenvalues, or a stack of such rows) that breaks the
+    singularity rule."""
+    for row in (lam,) if lam.ndim == 1 else lam:
+        if not _is_regular(row):
+            raise SingularInformationError(
+                f"information matrix is singular (eigenvalues {row.min():.3e} .. "
+                f"{row.max():.3e})"
+            )
 
 
-def _spectral_value(lam, criterion: Criterion) -> float:
-    """Phi(M) from the eigenvalues of a regular M."""
+def _spectral_value(lam, criterion: Criterion):
+    """Phi(M) from the eigenvalues of a regular M: a float for one row, an
+    array for a stack of rows."""
     if criterion is Criterion.A:
-        return float(np.sum(1.0 / lam))
-    if criterion is Criterion.LOGD:
-        return float(-np.sum(np.log(lam)))
+        value = np.sum(1.0 / lam, axis=-1)
+    elif criterion is Criterion.LOGD:
+        value = -np.sum(np.log(lam), axis=-1)
+    elif criterion is Criterion.E:
+        value = 1.0 / lam[..., 0]
+    else:
+        raise InvalidInputError(f"unknown criterion {criterion!r}")
+    return float(value) if lam.ndim == 1 else value
+
+
+def _gradient(M, criterion: Criterion):
+    """``(lam, c, G)`` at M: the ascending eigenvalues of M from one ``eigh``
+    and the phi contraction ``phi(mu) = c - <G, mu>``. log-D: ``c = d_theta``,
+    ``G = M^-1``; A: ``c = tr M^-1``, ``G = M^-2``; E: ``c = lambda_min``,
+    ``G`` the uniform projector onto its eigenspace. Raises
+    ``SingularInformationError`` when M is singular."""
+    lam, V = np.linalg.eigh(M)
+    _check_regular(lam)
     if criterion is Criterion.E:
-        return float(1.0 / lam[0])
+        scale = max(abs(lam[-1]), 1e-300)
+        mult = int(np.sum((lam - lam[0]) / scale < EIG_MULTIPLICITY_RTOL))
+        P = V[:, :mult]
+        return lam, lam[0], (P @ P.T) / mult
+    if criterion is Criterion.A:
+        Minv = (V / lam) @ V.T
+        return lam, float(np.trace(Minv)), Minv @ Minv
+    if criterion is Criterion.LOGD:
+        return lam, lam.shape[0], (V / lam) @ V.T
     raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
 def _phi_scan(M, arr, criterion: Criterion):
     """``(lam, phi, v)`` at M over the stack ``arr``: the ascending eigenvalues
-    of M, ``phi = c - v`` and ``v = <G, mu>`` per row, from one ``eigh`` and
-    one GEMV. Raises ``SingularInformationError`` when M is singular."""
-    lam, V = np.linalg.eigh(M)
-    if not _is_regular(lam):
-        raise _singular(lam)
-    if criterion is Criterion.E:
-        scale = max(abs(lam[-1]), 1e-300)
-        mult = int(np.sum((lam - lam[0]) / scale < EIG_MULTIPLICITY_RTOL))
-        P = V[:, :mult]
-        c, G = lam[0], (P @ P.T) / mult
-    elif criterion is Criterion.A:
-        Minv = (V / lam) @ V.T
-        c, G = float(np.trace(Minv)), Minv @ Minv
-    elif criterion is Criterion.LOGD:
-        c, G = lam.shape[0], (V / lam) @ V.T
-    else:
-        raise InvalidInputError(f"unknown criterion {criterion!r}")
+    of M, ``phi = c - v`` and ``v = <G, mu>`` per row, from :func:`_gradient`
+    and one GEMV. Raises ``SingularInformationError`` when M is singular."""
+    lam, c, G = _gradient(M, criterion)
     v = arr.reshape(arr.shape[0], -1) @ G.ravel()
     return lam, c - v, v
 
@@ -240,12 +259,12 @@ def is_invertible(M: np.ndarray) -> bool:
     return _is_regular(np.linalg.eigvalsh(np.asarray(M, dtype=float)))
 
 
-def criterion_value(M, criterion: Criterion) -> float:
-    """Scalar criterion value Phi(M); smaller is better for all criteria.
-    Raises ``SingularInformationError`` when M is singular."""
+def criterion_value(M, criterion: Criterion):
+    """Criterion value Phi(M), smaller is better for all criteria: a float for
+    one matrix, an array for a ``(n, d, d)`` stack, from one ``eigvalsh``.
+    Raises ``SingularInformationError`` when a matrix is singular."""
     lam = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    if not _is_regular(lam):
-        raise _singular(lam)
+    _check_regular(lam)
     return _spectral_value(lam, criterion)
 
 

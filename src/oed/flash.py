@@ -11,10 +11,12 @@ pressure is in bar, temperature is reported in degrees Celsius). The unknown
 model parameters are the four NRTL interaction parameters.
 One vectorized bisection on T in [250, 600] K solves every bubble point. It
 halves until no bracket can shrink any more, that is until every midpoint
-rounds onto an end of its bracket (some 53 halvings). The model's Jacobians
-are central differences of it over one batch. A single bubble point is
-``FlashModel(substances, nrtl).eval([x_m, P_bar])``, which returns
-``(y_m_vap, T_celsius)``.
+rounds onto an end of its bracket (some 53 halvings). The work that depends
+on the composition alone is done once per batch, and each halving evaluates
+unchecked private forms of the public NRTL and vapor-pressure expressions,
+in their operation order. The model's Jacobians are central differences of
+it over one batch. A single bubble point is ``FlashModel(substances,
+nrtl).eval([x_m, P_bar])``, which returns ``(y_m_vap, T_celsius)``.
 """
 
 from __future__ import annotations
@@ -65,13 +67,35 @@ METHANOL_WATER_NRTL = NrtlParams(-3.8, 6.6, 1337.558, -1900.0)
 METHANOL_ACETONE_NRTL = NrtlParams(4.1052, -4.4461, -1264.515, 1582.698)
 
 
+def _vapor_pressure(substance: SubstanceParams, T, log_T):
+    return np.exp(substance.A + substance.B / T + substance.C * log_T
+                  + substance.D * T**substance.E)
+
+
 def vapor_pressure(substance: SubstanceParams, T):
     """Pure-component vapor pressure in Pa at temperature T [K], as an array."""
     T = np.asarray(T, dtype=float)
     if np.any(T <= 0):
         raise InvalidInputError("temperature must be positive (Kelvin)")
-    return np.exp(substance.A + substance.B / T + substance.C * np.log(T)
-                  + substance.D * T**substance.E)
+    return _vapor_pressure(substance, T, np.log(T))
+
+
+def _check_fraction(x_m) -> None:
+    if np.any((x_m < 0) | (x_m > 1)):
+        raise InvalidInputError("mole fraction must lie in [0, 1]")
+
+
+def _gammas(x_m, x_w, x_m2, x_w2, T, params: NrtlParams):
+    """NRTL (gamma_m, gamma_w) from the fractions, their squares and T."""
+    tau12 = params.a12 + params.b12 / T
+    tau21 = params.a21 + params.b21 / T
+    G12 = np.exp(-NRTL_ALPHA * tau12)
+    G21 = np.exp(-NRTL_ALPHA * tau21)
+    den_m = x_m + x_w * G21
+    den_w = x_w + x_m * G12
+    ln_gm = x_w2 * (tau21 * (G21 / den_m) ** 2 + tau12 * G12 / den_w**2)
+    ln_gw = x_m2 * (tau12 * (G12 / den_w) ** 2 + tau21 * G21 / den_m**2)
+    return np.exp(ln_gm), np.exp(ln_gw)
 
 
 def nrtl_gammas(x_m, T, params: NrtlParams):
@@ -83,27 +107,11 @@ def nrtl_gammas(x_m, T, params: NrtlParams):
     """
     x_m = np.asarray(x_m, dtype=float)
     T = np.asarray(T, dtype=float)
-    if np.any((x_m < 0) | (x_m > 1)):
-        raise InvalidInputError("mole fraction must lie in [0, 1]")
+    _check_fraction(x_m)
     if np.any(T <= 0):
         raise InvalidInputError("temperature must be positive (Kelvin)")
     x_w = 1.0 - x_m
-    tau12 = params.a12 + params.b12 / T
-    tau21 = params.a21 + params.b21 / T
-    G12 = np.exp(-NRTL_ALPHA * tau12)
-    G21 = np.exp(-NRTL_ALPHA * tau21)
-    den_m = x_m + x_w * G21
-    den_w = x_w + x_m * G12
-    ln_gm = x_w**2 * (tau21 * (G21 / den_m) ** 2 + tau12 * G12 / den_w**2)
-    ln_gw = x_m**2 * (tau12 * (G12 / den_w) ** 2 + tau21 * G21 / den_m**2)
-    return np.exp(ln_gm), np.exp(ln_gw)
-
-
-def _bubble_residual(T, x_m, P_pa, nrtl, substances):
-    sub_m, sub_w = substances
-    gamma_m, gamma_w = nrtl_gammas(x_m, T, nrtl)
-    return (x_m * gamma_m * vapor_pressure(sub_m, T)
-            + (1.0 - x_m) * gamma_w * vapor_pressure(sub_w, T) - P_pa)
+    return _gammas(x_m, x_w, x_m**2, x_w**2, T, params)
 
 
 def _vapor_fraction(T, x_m, P_pa, nrtl, substances):
@@ -115,14 +123,29 @@ def _vapor_fraction(T, x_m, P_pa, nrtl, substances):
 def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
     """(y_m_vap, T_celsius) by vectorized bisection over equal-shape arrays;
     the fields of ``nrtl`` may hold one parameter set per point. Raises
+    ``InvalidInputError`` for a mole fraction outside [0, 1],
     ``NonFiniteModelError`` on a non-finite residual and ``NoSolutionError``
-    when the residual does not change sign across the bracket."""
+    when the residual does not change sign across the bracket.
+
+    The work that depends on x alone (the fraction check, ``x_w`` and both
+    squares) is done once per batch; each halving evaluates the unchecked
+    NRTL and vapor-pressure forms, in the operation order of the public
+    :func:`nrtl_gammas` and :func:`vapor_pressure`. Every T lies in the
+    bracket, so their T > 0 checks could never fire here.
+    """
+    _check_fraction(x_m)
+    x_w = 1.0 - x_m
+    x_m2, x_w2 = x_m**2, x_w**2
+    sub_m, sub_w = substances
 
     def residual(T):
         # Overflow in the NRTL terms is legal input behavior; the finiteness
         # check below turns it into a typed error, so silence numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _bubble_residual(T, x_m, P_pa, nrtl, substances)
+            gamma_m, gamma_w = _gammas(x_m, x_w, x_m2, x_w2, T, nrtl)
+            log_T = np.log(T)
+            res = (x_m * gamma_m * _vapor_pressure(sub_m, T, log_T)
+                   + x_w * gamma_w * _vapor_pressure(sub_w, T, log_T) - P_pa)
         if not np.all(np.isfinite(res)):
             raise NonFiniteModelError("non-finite bubble-point residual")
         return res

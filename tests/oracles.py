@@ -11,8 +11,14 @@ from oed.designs import (
     information_matrix,
     is_invertible,
 )
-from oed.exceptions import InitializationError, InvalidInputError, SingularKernelError
-from oed.flash import T_BRACKET_K, _bubble_residual, _vapor_fraction
+from oed.exceptions import (
+    InitializationError,
+    InvalidInputError,
+    NoSolutionError,
+    NonFiniteModelError,
+    SingularKernelError,
+)
+from oed.flash import T_BRACKET_K, _vapor_fraction, nrtl_gammas, vapor_pressure
 from oed.gp import (
     ALPHA_GRID,
     CV_FOLDS,
@@ -45,6 +51,15 @@ def rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def bubble_residual(T, x_m, P_pa, nrtl, substances):
+    """The bubble-point residual ``sum_i x_i gamma_i P0_i(T) - P`` from the
+    checked public ``nrtl_gammas`` and ``vapor_pressure``."""
+    sub_m, sub_w = substances
+    gamma_m, gamma_w = nrtl_gammas(x_m, T, nrtl)
+    return (x_m * gamma_m * vapor_pressure(sub_m, T)
+            + (1.0 - x_m) * gamma_w * vapor_pressure(sub_w, T) - P_pa)
+
+
 def bubble_point_batch_64(x_m, P_pa, nrtl, substances):
     """Bubble points (y_m_vap, T_celsius) by exactly 64 bisection halvings of
     the temperature bracket, with no bracket or finiteness checks."""
@@ -52,10 +67,36 @@ def bubble_point_batch_64(x_m, P_pa, nrtl, substances):
     hi = np.full_like(x_m, T_BRACKET_K[1])
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        neg = _bubble_residual(mid, x_m, P_pa, nrtl, substances) < 0
+        neg = bubble_residual(mid, x_m, P_pa, nrtl, substances) < 0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     T = 0.5 * (lo + hi)
+    return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15
+
+
+def bubble_point_by_public_formulas(x_m, P_pa, nrtl, substances):
+    """Bubble points (y_m_vap, T_celsius) by the package's self-stopping
+    bisection, with the checked public ``nrtl_gammas`` and ``vapor_pressure``
+    evaluated in full on every halving, and the same bracket and finiteness
+    checks."""
+
+    def residual(T):
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = bubble_residual(T, x_m, P_pa, nrtl, substances)
+        if not np.all(np.isfinite(res)):
+            raise NonFiniteModelError("non-finite bubble-point residual")
+        return res
+
+    lo = np.full_like(x_m, T_BRACKET_K[0])
+    hi = np.full_like(x_m, T_BRACKET_K[1])
+    if np.any(residual(lo) >= 0) or np.any(residual(hi) <= 0):
+        raise NoSolutionError(f"no bubble point in {T_BRACKET_K} K")
+    T = 0.5 * (lo + hi)
+    while np.any((T != lo) & (T != hi)):
+        neg = residual(T) < 0
+        lo = np.where(neg, T, lo)
+        hi = np.where(neg, hi, T)
+        T = 0.5 * (lo + hi)
     return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15
 
 

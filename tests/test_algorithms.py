@@ -21,7 +21,7 @@ from oed.designs import (
     information_matrix,
 )
 from oed.exceptions import InitializationError, InvalidInputError, NonFiniteModelError
-from oed.flash import methanol_water_flash
+from oed.flash import methanol_acetone_flash, methanol_water_flash
 from oed.models import Box, ModelHandle, QuadraticModel, quadratic_model
 from oed.runner import _run
 from oed.weights import optimize_weights
@@ -146,11 +146,20 @@ class TestRunVdm:
         else:  # argmin hit an initial point and merged
             assert np.allclose(w, [0.2, 0.2, 0.2, 0.4])
 
+    # The oracle scans the whole grid and takes a criterion value on every
+    # iteration, so these cases pin VDM's lazy log-D scan, its full A and E
+    # scans and its stacked trace values to the full computation, bit for bit.
     @pytest.mark.parametrize("build, grid, cfg, termination", [
         (QuadraticModel, GRID_201, AlgoConfig(rng_seed=0), "epsilon"),
         (methanol_water_flash, flash_grid(),
          AlgoConfig(rng_seed=5, max_iterations=2000), "max_iterations"),
-    ], ids=["quadratic", "flash-water"])
+        (methanol_acetone_flash, flash_grid(), AlgoConfig(rng_seed=0), "epsilon"),
+        (QuadraticModel, GRID_201,
+         AlgoConfig(criterion=Criterion.A, rng_seed=0, max_iterations=3000),
+         "max_iterations"),
+        (QuadraticModel, GRID_201, AlgoConfig(criterion=Criterion.E, rng_seed=0),
+         "epsilon"),
+    ], ids=["quadratic", "flash-water", "flash-acetone", "quadratic-A", "quadratic-E"])
     def test_bit_for_bit_against_the_grown_stack(self, build, grid, cfg,
                                                  termination):
         report = run_vdm(build(), grid, cfg)

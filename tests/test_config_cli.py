@@ -225,8 +225,8 @@ class TestEmitReport:
         paths = emit_report(_dummy_report(), tmp_path / "out",
                             coord_names=["x_m", "P_bar"])
         summary = json.loads(paths["summary"].read_text())
-        assert set(summary["timings"]) == {"jacobian", "weights", "acquisition",
-                                           "hyperparameters", "total"}
+        assert set(summary["timings"]) == {"jacobian", "phi_scan", "weights",
+                                           "acquisition", "hyperparameters", "total"}
         assert summary["jacobian_evaluations"] == 12
         env = summary["environment"]
         assert set(env) == {"python", "numpy", "scipy", "OPENBLAS_NUM_THREADS",

@@ -182,6 +182,17 @@ class TestCriterionValue:
             with pytest.raises(SingularInformationError):
                 criterion_value(np.diag([1.0, 0.0]), crit)
 
+    @pytest.mark.parametrize("crit", [Criterion.A, Criterion.LOGD, Criterion.E])
+    def test_stack_equals_one_matrix_at_a_time_and_checks_every_row(self, crit):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 3, 3))
+        stack = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        values = criterion_value(stack, crit)
+        assert np.array_equal(values, [criterion_value(M, crit) for M in stack])
+        stack[4] = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(SingularInformationError, match="0.000e\\+00"):
+            criterion_value(stack, crit)
+
     def test_logdet_scaling_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

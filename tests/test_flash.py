@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from oracles import bubble_point_batch_64
+from oracles import (
+    bubble_point_batch_64,
+    bubble_point_by_public_formulas,
+    bubble_residual,
+)
 from scipy.optimize import brentq
 
 import oed.flash
@@ -16,7 +20,6 @@ from oed.flash import (
     NrtlParams,
     SubstanceParams,
     WATER,
-    _bubble_residual,
     methanol_acetone_flash,
     methanol_water_flash,
     nrtl_gammas,
@@ -37,7 +40,7 @@ def brentq_flash(x, theta, substances):
     bubble-point residual, in place of the package's bisection."""
     x_m, P_pa = x[0], x[1] * 1e5
     nrtl = NrtlParams(*theta)
-    T = brentq(_bubble_residual, 250.0, 600.0, args=(x_m, P_pa, nrtl, substances),
+    T = brentq(bubble_residual, 250.0, 600.0, args=(x_m, P_pa, nrtl, substances),
                xtol=1e-12, rtol=4 * np.finfo(float).eps)
     gm, _ = nrtl_gammas(x_m, T, nrtl)
     return np.array([x_m * gm * vapor_pressure(substances[0], T) / P_pa,
@@ -164,6 +167,8 @@ class TestFlashSolve:
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             bubble_point(-0.1, 1.0, METHANOL_WATER_NRTL)
+        with pytest.raises(InvalidInputError):
+            methanol_water_flash().jacobian_batch([[0.5, 1.0], [1.1, 1.0]])
 
     def test_no_bracket_raises(self):
         # Hugely negative interaction parameters inflate the activity
@@ -217,6 +222,22 @@ class TestFlashModel:
             with monkeypatch.context() as m:
                 m.setattr(oed.flash, "_bubble_point_batch", bubble_point_batch_64)
                 assert np.array_equal(build().jacobian_batch(grid), J)
+
+    def test_jacobians_equal_the_public_formula_bisection(self, monkeypatch):
+        # The bisection does its composition-only work once per batch and
+        # calls unchecked forms of the formulas; the checked public formulas
+        # on every halving must give the same bits on both mixtures' full
+        # grids and at single points.
+        grid = flash_grid()
+        points = [[0.0, 0.5], [0.37, 1.9], [0.5, 2.75], [0.93, 4.4], [1.0, 5.0]]
+        for build in (methanol_water_flash, methanol_acetone_flash):
+            J = build().jacobian_batch(grid)
+            y = np.array([build().eval(x) for x in points])
+            with monkeypatch.context() as m:
+                m.setattr(oed.flash, "_bubble_point_batch",
+                          bubble_point_by_public_formulas)
+                assert np.array_equal(build().jacobian_batch(grid), J)
+                assert np.array_equal([build().eval(x) for x in points], y)
 
     def test_non_finite_jacobian_raises(self):
         model = FlashModel(theta_nominal=(0.0, 800.0, 0.0, 0.0))
