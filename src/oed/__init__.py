@@ -29,7 +29,6 @@ from .designs import (
 )
 from .exceptions import (
     ConfigError,
-    ConvergenceError,
     InitializationError,
     InvalidInputError,
     NoSolutionError,

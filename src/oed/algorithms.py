@@ -36,7 +36,6 @@ from .designs import (
     is_invertible,
 )
 from .exceptions import (
-    ConvergenceError,
     InitializationError,
     InvalidInputError,
     NonFiniteModelError,
@@ -226,8 +225,13 @@ class _Run:
 
     def fisher(self, points) -> np.ndarray:
         """The Fisher stack at the rows of ``points``; its model Jacobians are
-        timed and counted, and a call that raises counts nothing."""
+        timed and counted, and a call that raises counts nothing. A
+        non-finite Jacobian raises ``NonFiniteModelError`` at its point."""
         jac = self.timed("jacobian", self.model.jacobian_batch, points)
+        finite = np.isfinite(jac).reshape(jac.shape[0], -1).all(axis=1)
+        if not finite.all():
+            raise NonFiniteModelError(f"model returned a non-finite Jacobian "
+                                      f"at x={np.asarray(points)[~finite][0]}")
         mus = fisher_at_points(jac, self.cfg.sigma_eps)
         self.jacobian_evals += jac.shape[0]
         return mus
@@ -259,38 +263,37 @@ def _exchange(run: _Run, keys: list, cand: np.ndarray, propose,
     iteration solves the optimal weights on the candidates, warm-started with
     the last proposal's line-searched mass fraction (a capped solve continues
     from its best iterate, with a warning), records the objective and asks
-    ``propose(M, trace, keys, cand)`` for a new ``(key, mu)`` or a termination
-    reason. The report covers the candidates of the last solve, at
-    ``to_points(keys)``.
+    ``propose(sol, trace, keys, cand)`` for a new ``(key, mu)`` or a
+    termination reason; ``sol`` is the solve's :class:`WeightSolution`, its
+    M and the candidates' phi included. The report covers the candidates of
+    the last solve, at ``to_points(keys)``.
     """
     cfg = run.cfg
     warm = None
     trace = []
     termination = "max_iterations"
     for k in range(1, cfg.max_iterations + 1):
-        try:
-            sol = run.timed("weights", optimize_weights, cand, cfg.criterion,
-                            tol=cfg.weight_tol, warm_start=warm)
-        except ConvergenceError as exc:
-            sol = exc.best
-            run.warnings.append(f"iteration {k}: {exc}; continued from "
-                                "its best iterate")
-        w = sol.weights
-        M = information_matrix(w, cand)
+        sol = run.timed("weights", optimize_weights, cand, cfg.criterion,
+                        tol=cfg.weight_tol, warm_start=warm)
+        if not sol.converged:
+            run.warnings.append(
+                f"iteration {k}: weight optimization did not reach "
+                f"tol={cfg.weight_tol} within {sol.iterations} iterations; continued "
+                f"from its best iterate (min phi {sol.kkt_residual:.3e})")
         trace.append(sol.objective)
-        proposal = propose(M, trace, keys, cand)
+        proposal = propose(sol, trace, keys, cand)
         if isinstance(proposal, str):
             termination = proposal
             break
         key, mu = proposal
-        delta = _line_search(M, mu, 0.5, cfg.criterion)
-        warm = np.append(w * (1.0 - delta), max(delta, 1e-12))
+        delta = _line_search(sol.information_matrix, mu, 0.5, cfg.criterion)
+        warm = np.append(sol.weights * (1.0 - delta), max(delta, 1e-12))
         keys.append(key)
         cand = np.concatenate([cand, mu[None]])
 
-    n = w.shape[0]
-    M = information_matrix(w, cand[:n])
-    return run.report(Design(to_points(keys[:n]), w), M, trace, termination)
+    n = sol.weights.shape[0]
+    return run.report(Design(to_points(keys[:n]), sol.weights),
+                      sol.information_matrix, trace, termination)
 
 
 def _grid_start(model: ModelHandle, grid, cfg: AlgoConfig):
@@ -401,8 +404,9 @@ def run_ybt(model: ModelHandle, grid, cfg: AlgoConfig) -> AlgoReport:
     """
     run, grid, mus, keys = _grid_start(model, grid, cfg)
 
-    def propose(M, *_):
-        phi = run.timed("phi_scan", directional_derivatives, M, mus, cfg.criterion)
+    def propose(sol, *_):
+        phi = run.timed("phi_scan", directional_derivatives,
+                        sol.information_matrix, mus, cfg.criterion)
         j = int(np.argmin(phi))
         if phi[j] > -cfg.epsilon:
             return "epsilon"
@@ -444,6 +448,7 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
         U = np.vstack([U, u_new])
 
     tau, alpha, iso, params = 1.0, None, None, None
+    rejected = []  # unit points whose model evaluation was non-finite
 
     def _refit(U, phi_vals, n_iter):
         """The GP refit; a singular kernel raises the noise floor."""
@@ -468,29 +473,31 @@ def run_adagpr(model: ModelHandle, cfg: AlgoConfig) -> AlgoReport:
                     f"singular surrogate kernel; noise floor raised to {noise:g}")
         raise SingularKernelError("surrogate kernel stayed singular despite noise")
 
-    def propose(M, trace, keys, cand):
+    def propose(sol, trace, keys, cand):
         nonlocal tau
         if progress_stop(trace):
             return "progress"
-        U = np.array(keys)
-        phi_vals = run.timed("phi_scan", directional_derivatives, M, cand,
-                             cfg.criterion)
-        gp = run.timed("hyperparameters", _refit, U, phi_vals, len(trace))
+        gp = run.timed("hyperparameters", _refit, np.array(keys), sol.phi, len(trace))
         u_new = run.timed("acquisition", minimize_acquisition, gp, tau,
                           stream.next(N_STARTS))
+        # A point the model rejected before is skipped without a model call.
         for _ in range(MAX_POINT_REJECTIONS):
-            try:
-                mu_new = run.fisher(box.from_unit(u_new)[None])[0]
-                break
-            except NonFiniteModelError as exc:
-                run.warnings.append(f"rejected non-finite point: {exc}")
-                u_new = stream.next(1)[0]
+            if not any(np.array_equal(u_new, u) for u in rejected):
+                try:
+                    mu_new = run.fisher(box.from_unit(u_new)[None])[0]
+                    break
+                except NonFiniteModelError as exc:
+                    run.warnings.append(f"rejected non-finite point: {exc}")
+                    rejected.append(u_new)
+            u_new = stream.next(1)[0]
         else:
             raise NonFiniteModelError(
                 "model stayed non-finite after replacing the acquisition "
                 f"point {MAX_POINT_REJECTIONS} times"
             )
-        tau = next_tau(tau, directional_derivatives(M, mu_new, cfg.criterion)[0])
+        phi_new = run.timed("phi_scan", directional_derivatives,
+                            sol.information_matrix, mu_new, cfg.criterion)
+        tau = next_tau(tau, phi_new[0])
         return u_new, mu_new
 
     return _exchange(run, list(U), mus, propose,

@@ -18,15 +18,8 @@ class SingularKernelError(OedError):
 
 
 class ConvergenceError(OedError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
-
-    The best iterate found is attached as ``best`` so callers can degrade
-    gracefully instead of losing the work.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Not raised: a capped weight solve returns its best iterate with
+    ``converged`` False. Kept importable for ``perfbench/tracer.py``."""
 
 
 class NonFiniteModelError(OedError):

@@ -1,9 +1,10 @@
 """Optimal design weights over a fixed candidate set.
 
 Solves ``min_w Phi(sum_i w_i mu_i)`` over the probability simplex. The
-returned weights satisfy the Kiefer-Wolfowitz condition restricted to the
-candidate set: ``phi(xi, x_i) >= -tol`` everywhere and ``|phi(xi, x_i)| <= tol``
-on the support, which certifies optimality within the candidates.
+weights of a converged solve satisfy the Kiefer-Wolfowitz condition restricted
+to the candidate set: ``phi(xi, x_i) >= -tol`` everywhere and
+``|phi(xi, x_i)| <= tol`` on the support, which certifies optimality within
+the candidates.
 
 The iteration combines multiplicative updates (Titterington's rule for
 log-D, the exponent-1/2 rule for A) with occasional monotone
@@ -30,7 +31,7 @@ from .designs import (
     criterion_value,
     is_invertible,
 )
-from .exceptions import ConvergenceError, InvalidInputError, SingularInformationError
+from .exceptions import InvalidInputError, SingularInformationError
 
 SUPPORT_EPS = 1e-6      # weights above this must satisfy |phi| <= tol
 TRUNCATE_EPS = 1e-9     # weights below this are zeroed on return
@@ -39,11 +40,16 @@ ACCEL_EVERY = 8         # line-search acceleration cadence
 
 @dataclass
 class WeightSolution:
-    """Result of :func:`optimize_weights`."""
+    """Result of :func:`optimize_weights`: the solved weights, and their
+    information matrix, objective and phi over the candidates. ``converged``
+    is False when the iteration cap was hit; the weights are then the best
+    iterate seen."""
 
     weights: np.ndarray
     objective: float
-    kkt_residual: float     # most negative phi over the candidates
+    information_matrix: np.ndarray
+    phi: np.ndarray         # directional derivative at each candidate
+    kkt_residual: float     # phi.min()
     iterations: int
     converged: bool
 
@@ -105,8 +111,8 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
     """Optimal simplex weights for the given candidate Fisher matrices.
 
     Raises ``SingularInformationError`` when no weight vector yields an
-    invertible information matrix and ``ConvergenceError`` (carrying the best
-    iterate as ``best``) when the iteration cap is hit before tolerance.
+    invertible information matrix. A solve that hits the iteration cap
+    before tolerance returns its best iterate with ``converged`` False.
     """
     arr = _as_mu_array(mus)
     n, d = arr.shape[0], arr.shape[1]
@@ -134,8 +140,8 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
 
     best_value = np.inf
     best_w = w.copy()
-    best_residual = -np.inf
     iterations = 0
+    converged = False
     for iterations in range(1, max_iterations + 1):
         try:
             lam, phi, v = _phi_scan(_weighted_sum(w, arr), arr, criterion)
@@ -143,11 +149,11 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
             w = uniform.copy()
             continue
         value = _spectral_value(lam, criterion)
-        residual = float(phi.min())
         if value < best_value:
-            best_value, best_w, best_residual = value, w.copy(), residual
+            best_value, best_w = value, w.copy()
         support = w > SUPPORT_EPS
-        if residual > -tol and np.max(np.abs(phi[support])) <= tol:
+        converged = bool(phi.min() > -tol and np.max(np.abs(phi[support])) <= tol)
+        if converged:
             break
         if criterion is Criterion.LOGD:
             w = w * (v / d)
@@ -164,28 +170,16 @@ def optimize_weights(mus, criterion: Criterion, tol: float = 1e-6,
         w /= s
         if iterations % ACCEL_EVERY == 0 and criterion is not Criterion.E:
             w = _accelerate(w, arr, phi, criterion)
-    else:
-        best = _finalize(best_w, arr, criterion, iterations, converged=False)
-        raise ConvergenceError(
-            f"weight optimization did not reach tol={tol} within "
-            f"{max_iterations} iterations (best residual {best_residual:.3e})",
-            best=best,
-        )
 
-    # E's mirror ascent is not monotone: return the best iterate seen.
-    if criterion is Criterion.E and best_value < value:
+    # A capped solve returns its best iterate; E's mirror ascent is not
+    # monotone, so a converged E solve does too when it saw a better one.
+    if not converged or (criterion is Criterion.E and best_value < value):
         w = best_w
-    return _finalize(w, arr, criterion, iterations, converged=True)
-
-
-def _finalize(w, arr, criterion, iterations, converged):
     w = np.where(w < TRUNCATE_EPS, 0.0, w)
     w /= w.sum()
     M = _weighted_sum(w, arr)
-    return WeightSolution(
-        weights=w,
-        objective=criterion_value(M, criterion),
-        kkt_residual=float(_phi_scan(M, arr, criterion)[1].min()),
-        iterations=iterations,
-        converged=converged,
-    )
+    phi = _phi_scan(M, arr, criterion)[1]
+    return WeightSolution(weights=w, objective=criterion_value(M, criterion),
+                          information_matrix=M, phi=phi,
+                          kkt_residual=float(phi.min()), iterations=iterations,
+                          converged=converged)

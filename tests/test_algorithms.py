@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -418,6 +419,36 @@ def test_adagpr_counts_only_accepted_jacobians():
     assert len(rejections) == len(model.rejected)
     for warning, x in zip(rejections, model.rejected):
         assert warning.endswith(f"at x={x}")
+    # The acquisition proposes x = 1 again and again; a point rejected once
+    # is skipped without calling the model again.
+    assert len({x.tobytes() for x in model.rejected}) == len(model.rejected)
+
+
+class NanJacobianQuadratic(QuadraticModel):
+    """The quadratic toy whose exact Jacobians are NaN beyond x = 0.9."""
+
+    def jacobian_batch(self, xs):
+        jac = super().jacobian_batch(xs)
+        jac[np.asarray(xs)[:, 0] > 0.9] = np.nan
+        return jac
+
+
+def test_adagpr_rejects_a_point_with_a_non_finite_exact_jacobian():
+    report = run_adagpr(NanJacobianQuadratic(),
+                        AlgoConfig(criterion=Criterion.LOGD, rng_seed=0, n_initial=10))
+    rejections = [w for w in report.warnings if w.startswith("rejected non-finite point")]
+    assert rejections
+    assert all("non-finite Jacobian at x=" in w for w in rejections)
+    assert report.design.points.max() <= 0.9
+
+
+def test_ybt_reports_a_non_finite_exact_jacobian_as_a_model_fault():
+    # The error names the first bad grid point. A configuration error
+    # (InvalidInputError) would send the CLI to exit code 2, not 3.
+    first = GRID_201[GRID_201[:, 0] > 0.9][0]
+    with pytest.raises(NonFiniteModelError, match=re.escape(f"at x={first}")):
+        run_ybt(NanJacobianQuadratic(), GRID_201,
+                AlgoConfig(criterion=Criterion.LOGD, rng_seed=0))
 
 
 def test_adagpr_deterministic_with_per_dimension_lengthscales(monkeypatch):
