@@ -11,16 +11,21 @@ pressure is in bar, temperature is reported in degrees Celsius). The unknown
 model parameters are the four NRTL interaction parameters.
 One vectorized bisection on T in [250, 600] K solves every bubble point. It
 halves until no bracket can shrink any more, that is until every midpoint
-rounds onto an end of its bracket (some 53 halvings). The work that depends
-on the composition alone is done once per batch, and each halving evaluates
-unchecked private forms of the public NRTL and vapor-pressure expressions,
-in their operation order. The model's Jacobians are central differences of
-it over one batch. A single bubble point is ``FlashModel(substances,
-nrtl).eval([x_m, P_bar])``, which returns ``(y_m_vap, T_celsius)``.
+rounds onto an end of its bracket (some 53 halvings). A batch of more than
+``CHUNK_ROWS`` rows is split into contiguous chunks, at most one per CPU the
+process may run on, each bisected on its own thread with the bits of one
+batch. The work that depends on the composition alone is done once per
+chunk, and each halving evaluates unchecked private forms of the public NRTL
+and vapor-pressure expressions, in their operation order. The model's
+Jacobians are central differences of it over one batch. A single bubble
+point is ``FlashModel(substances, nrtl).eval([x_m, P_bar])``, which returns
+``(y_m_vap, T_celsius)``.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,7 @@ from .models import Box, ModelHandle
 NRTL_ALPHA = 0.3
 PA_PER_BAR = 1e5
 T_BRACKET_K = (250.0, 600.0)
+CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -120,20 +126,23 @@ def _vapor_fraction(T, x_m, P_pa, nrtl, substances):
     return x_m * gamma_m * vapor_pressure(substances[0], T) / P_pa
 
 
-def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
-    """(y_m_vap, T_celsius) by vectorized bisection over equal-shape arrays;
-    the fields of ``nrtl`` may hold one parameter set per point. Raises
-    ``InvalidInputError`` for a mole fraction outside [0, 1],
-    ``NonFiniteModelError`` on a non-finite residual and ``NoSolutionError``
-    when the residual does not change sign across the bracket.
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The work that depends on x alone (the fraction check, ``x_w`` and both
-    squares) is done once per batch; each halving evaluates the unchecked
-    NRTL and vapor-pressure forms, in the operation order of the public
-    :func:`nrtl_gammas` and :func:`vapor_pressure`. Every T lies in the
-    bracket, so their T > 0 checks could never fire here.
+
+def _bisect(x_m, P_pa, nrtl: NrtlParams, substances):
+    """(y_m_vap, T_celsius) of checked fractions by vectorized bisection.
+
+    The work that depends on x alone (``x_w`` and both squares) is done once;
+    each halving evaluates the unchecked NRTL and vapor-pressure forms, in the
+    operation order of the public :func:`nrtl_gammas` and
+    :func:`vapor_pressure`. Every T lies in the bracket, so their T > 0
+    checks could never fire here.
     """
-    _check_fraction(x_m)
     x_w = 1.0 - x_m
     x_m2, x_w2 = x_m**2, x_w**2
     sub_m, sub_w = substances
@@ -163,6 +172,40 @@ def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
         hi = np.where(neg, hi, T)
         T = 0.5 * (lo + hi)
     return _vapor_fraction(T, x_m, P_pa, nrtl, substances), T - 273.15
+
+
+def _bubble_point_batch(x_m, P_pa, nrtl: NrtlParams, substances):
+    """(y_m_vap, T_celsius) by vectorized bisection over equal-shape 1-D
+    arrays; the fields of ``nrtl`` may hold one parameter set per point.
+    Raises ``InvalidInputError`` for a mole fraction outside [0, 1],
+    ``NonFiniteModelError`` on a non-finite residual and ``NoSolutionError``
+    when the residual does not change sign across the bracket.
+
+    After the fraction check, the rows are split into ``k = min(usable_cpus(),
+    ceil(n / CHUNK_ROWS))`` contiguous chunks, each bisected on its own
+    thread (numpy releases the GIL in loops this long); with ``k == 1`` the
+    batch is solved inline. Every operation is per row, and a bracket that
+    has collapsed stays as it is when halved again, so a chunk that stops
+    early gives the bits of the whole batch. The first failing chunk in row
+    order raises its error once every thread has ended; only a batch whose
+    rows fail in different ways can so raise another type than one chunk.
+    """
+    _check_fraction(x_m)
+    n = x_m.shape[0]
+    k = min(usable_cpus(), -(-n // CHUNK_ROWS))
+    if k <= 1:
+        return _bisect(x_m, P_pa, nrtl, substances)
+    y_m, T_c = np.empty_like(x_m), np.empty_like(x_m)
+
+    def solve(a, b):
+        rows = NrtlParams(*(f[a:b] if np.ndim(f) else f for f in vars(nrtl).values()))
+        y_m[a:b], T_c[a:b] = _bisect(x_m[a:b], P_pa[a:b], rows, substances)
+
+    edges = [i * n // k for i in range(k + 1)]
+    with futures.ThreadPoolExecutor(k) as pool:
+        done = pool.map(solve, edges[:-1], edges[1:])
+    list(done)  # re-raises the first failing chunk's error
+    return y_m, T_c
 
 
 class FlashModel(ModelHandle):

@@ -19,6 +19,7 @@ import scipy
 from .algorithms import AlgoReport
 from .designs import Criterion
 from .exceptions import InvalidInputError
+from .flash import usable_cpus
 
 _FMT = "%.12g"
 
@@ -31,9 +32,11 @@ def summary_objective(report: AlgoReport) -> float:
 
 
 def _environment() -> dict:
-    """Python, numpy and scipy versions, their BLAS builds and the BLAS thread
-    variables (None when unset): the last bits of a result depend on them."""
-    env = {"python": platform.python_version()}
+    """Python, numpy and scipy versions, their BLAS builds, the BLAS thread
+    variables (None when unset) and the CPU count that the flash solve splits
+    its rows over: the last bits of a result may depend on all but the CPU
+    count, its speed on all of them."""
+    env = {"python": platform.python_version(), "cpus": usable_cpus()}
     for lib in (np, scipy):
         blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env[lib.__name__] = {"version": lib.__version__, "blas": blas["name"],

@@ -230,7 +230,7 @@ class TestEmitReport:
         assert summary["jacobian_evaluations"] == 12
         env = summary["environment"]
         assert set(env) == {"python", "numpy", "scipy", "OPENBLAS_NUM_THREADS",
-                            "OMP_NUM_THREADS"}
+                            "OMP_NUM_THREADS", "cpus"}
         assert env["python"] == platform.python_version()
         for lib in (np, scipy):
             assert env[lib.__name__]["version"] == lib.__version__
@@ -238,6 +238,7 @@ class TestEmitReport:
             assert all(isinstance(v, str) for v in env[lib.__name__].values())
         assert env["OPENBLAS_NUM_THREADS"] == "2"
         assert env["OMP_NUM_THREADS"] is None
+        assert type(env["cpus"]) is int and env["cpus"] >= 1
         header = paths["design"].read_text().splitlines()[0]
         assert header == "x_m,P_bar,weight"
         trace_lines = paths["trace"].read_text().splitlines()

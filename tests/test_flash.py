@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from oracles import (
@@ -238,6 +241,86 @@ class TestFlashModel:
                           bubble_point_by_public_formulas)
                 assert np.array_equal(build().jacobian_batch(grid), J)
                 assert np.array_equal([build().eval(x) for x in points], y)
+
+    def test_chunked_bubble_points_equal_one_batch_bit_for_bit(self, monkeypatch):
+        # Rows are split into contiguous chunks solved on threads; on 1, 2
+        # and 3 CPUs (the last chunk uneven) the full grids' Jacobians and
+        # the evaluations at single points and as one batch keep the bits of
+        # the one-chunk solve. A short switch interval interleaves the
+        # threads' writes into the shared output arrays as often as it can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._check_chunked_solves(monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _check_chunked_solves(self, monkeypatch):
+        grid = flash_grid()
+        points = np.array([[0.0, 0.5], [0.37, 1.9], [0.5, 2.75], [0.93, 4.4], [1.0, 5.0]])
+        bisect = oed.flash._bisect
+        chunks = []
+
+        def counted(x_m, *args):
+            chunks.append(x_m.shape[0])
+            return bisect(x_m, *args)
+
+        monkeypatch.setattr(oed.flash, "_bisect", counted)
+        for build in (methanol_water_flash, methanol_acetone_flash):
+            model = build()
+            thetas = np.tile(model.theta_nominal, (len(points), 1))
+            solves = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(oed.flash, "usable_cpus", lambda cpus=cpus: cpus)
+                monkeypatch.setattr(oed.flash, "CHUNK_ROWS", 1_000)
+                chunks.clear()
+                J = model.jacobian_batch(grid)
+                assert len(chunks) == cpus and sum(chunks) == 8 * len(grid)
+                y = np.array([model.eval(x) for x in points])
+                monkeypatch.setattr(oed.flash, "CHUNK_ROWS", 2)
+                solves.append((J, y, model._eval_batch(points, thetas)))
+            J1, y1, batch1 = solves[0]
+            assert np.array_equal(batch1, y1)
+            for J, y, batch in solves[1:]:
+                assert np.array_equal(J, J1)
+                assert np.array_equal(y, y1)
+                assert np.array_equal(batch, y1)
+
+    @pytest.mark.parametrize("row", [15, 25])
+    @pytest.mark.parametrize("bad, x_m, P_bar, error", [
+        (NrtlParams(-60.0, -60.0, 0.0, 0.0), 0.5, 0.5, NoSolutionError),
+        (NrtlParams(0.0, 800.0, 0.0, 0.0), 0.0, 1.0, NonFiniteModelError),
+    ], ids=["no-bracket", "overflow"])
+    def test_error_in_a_later_chunk_keeps_its_type(self, monkeypatch, row, bad,
+                                                    x_m, P_bar, error):
+        # A failing row only in chunk 2 or 3 of three raises the one-chunk
+        # solve's error, after every thread has ended.
+        xs = np.linspace(0.05, 0.95, 30)
+        P_pa = np.full(30, 1e5)
+        xs[row], P_pa[row] = x_m, P_bar * 1e5
+        fields = np.tile(list(vars(METHANOL_WATER_NRTL).values()), (30, 1))
+        fields[row] = list(vars(bad).values())
+        nrtl = NrtlParams(*fields.T)
+        monkeypatch.setattr(oed.flash, "CHUNK_ROWS", 10)
+        for cpus in (1, 3):
+            monkeypatch.setattr(oed.flash, "usable_cpus", lambda cpus=cpus: cpus)
+            before = threading.active_count()
+            with pytest.raises(error):
+                oed.flash._bubble_point_batch(xs, P_pa, nrtl, (METHANOL, WATER))
+            assert threading.active_count() == before
+
+    def test_bad_fraction_raises_before_any_thread_starts(self, monkeypatch):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(oed.flash, "CHUNK_ROWS", 10)
+        monkeypatch.setattr(oed.flash, "usable_cpus", lambda: 3)
+        xs = np.linspace(0.05, 0.95, 30)
+        xs[25] = 1.5
+        with pytest.raises(InvalidInputError):
+            oed.flash._bubble_point_batch(xs, np.full(30, 1e5), METHANOL_WATER_NRTL,
+                                          (METHANOL, WATER))
 
     def test_non_finite_jacobian_raises(self):
         model = FlashModel(theta_nominal=(0.0, 800.0, 0.0, 0.0))

@@ -10,7 +10,10 @@ writes the SHA-256 of ``design.csv`` and ``trace.csv`` and the contents of
 ``summary.json`` without its ``timings`` and ``environment``: the objective
 (JSON floats round-trip, so it is the objective's ``repr``), the criterion
 value, iterations, Jacobian evaluations, termination, support size, warnings
-and the problem echo.
+and the problem echo. It also writes the SHA-256 of the model Jacobians over
+the full grid of the flash-water, flash-acetone, yeast (as-printed) and
+yeast-classical suites, so that a change in the Jacobian layer shows under its
+own name (``jacobians.SUITE``).
 
 ``diff`` prints one line per artefact that differs between two records and
 exits with status 1 if any does, 0 if none. Two records on one tree and one
@@ -30,12 +33,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITES = ("quadratic", "flash-water", "flash-acetone")
+JACOBIAN_SUITES = ("flash-water", "flash-acetone", "yeast", "yeast-classical")
 SEED = 0
 DROPPED = ("timings", "environment")
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _jacobian_digests() -> dict:
+    """``{suite: SHA-256 of its model's Jacobians over its full grid}``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from oed.bench import SUITES as BENCH_SUITES
+    from oed.config import MODEL_BUILDERS
+
+    digests = {}
+    for suite in JACOBIAN_SUITES:
+        model, options, build_grid, _ = BENCH_SUITES[suite]
+        jacobians = MODEL_BUILDERS[model](**options).jacobian_batch(build_grid())
+        digests[suite] = hashlib.sha256(jacobians.tobytes()).hexdigest()
+    return digests
 
 
 def record(out: Path) -> None:
@@ -55,8 +73,10 @@ def record(out: Path) -> None:
                 "trace.csv": _sha256(run_dir / "trace.csv"),
                 "summary": summary,
             }
-    out.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {out}: {len(runs)} runs")
+    digests = _jacobian_digests()
+    out.write_text(json.dumps(runs | {"jacobians": digests}, indent=2, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    print(f"wrote {out}: {len(runs)} runs, {len(digests)} grid Jacobian digests")
 
 
 def _flatten(node, prefix=""):
